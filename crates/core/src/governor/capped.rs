@@ -8,13 +8,13 @@
 //! tunable that buys the most power per step. The inner policy still
 //! receives the real counters, so Harmonia-under-a-cap keeps learning.
 //!
-//! Safe-state fallback is not built in: stack a
-//! [`WatchdogLayer`](crate::governor::WatchdogLayer) *inside* this
-//! decorator (the registry's `hardened:capped` spec does) and hand its
-//! [`DecisionLedger`] to [`CappedGovernor::with_ledger`] so the watchdog's
+//! Safe-state fallback is not built in: stack a park
+//! ([`DegradeLayer::park`](crate::governor::DegradeLayer::park)) *inside*
+//! this decorator (the registry's `hardened:capped` spec does) and hand its
+//! [`DecisionLedger`] to [`CappedGovernor::with_ledger`] so the park's
 //! actuation check compares against the post-clamp grant.
 
-use crate::governor::stack::{DecisionLedger, PolicyStats};
+use crate::governor::stack::{DecisionLedger, PolicyStats, SanitizerPressure};
 use crate::governor::Governor;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::{Activity, PowerModel};
@@ -31,15 +31,14 @@ pub struct CappedGovernor<'a, G> {
     /// Last observed activity per kernel, used to project power.
     activity: HashMap<String, Activity>,
     trace: TraceHandle,
-    /// Shared grant ledger, when an inner watchdog layer needs to see the
+    /// Shared grant ledger, when an inner park or ladder needs to see the
     /// post-clamp decision.
     ledger: Option<DecisionLedger>,
     /// Cap-violation accounting (shared with the stack's stats handle when
     /// registry-built).
     stats: PolicyStats,
-    /// Sanitizer reject total at the previous observation (shared stats) —
-    /// a rising count means current telemetry is being substituted.
-    last_rejects: u64,
+    /// Whether current telemetry is being substituted (shared stats).
+    pressure: SanitizerPressure,
 }
 
 impl<'a, G: Governor> CappedGovernor<'a, G> {
@@ -55,13 +54,13 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
             trace: TraceHandle::disabled(),
             ledger: None,
             stats: PolicyStats::new(),
-            last_rejects: 0,
+            pressure: SanitizerPressure::default(),
         }
     }
 
     /// Records every post-clamp grant into `ledger`. Because this decorator
     /// decides last, its write overwrites any pre-clamp entry an inner
-    /// watchdog layer made — actuation checks then compare against what
+    /// park or ladder made — actuation checks then compare against what
     /// was actually granted.
     pub fn with_ledger(mut self, ledger: DecisionLedger) -> Self {
         self.ledger = Some(ledger);
@@ -197,11 +196,9 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         // operating point. Projecting stand-in activity at this interval's
         // configuration manufactures phantom violations (and can equally
         // hide real ones), so the accounting only trusts quiet intervals.
-        let rejects = self.stats.sanitizer_rejects();
-        let pressure = rejects > self.last_rejects;
-        self.last_rejects = rejects;
+        let pressure = self.pressure.under_pressure(&self.stats);
         // NaN projections (glitched telemetry) fail the comparison and are
-        // not counted — a stacked counter watchdog catches implausible
+        // not counted — a stacked counter park catches implausible
         // samples, and a stacked sanitizer rejects physically impossible
         // ones before they reach this accounting.
         let over = self.power.card_pwr(cfg, &activity).value() > self.cap.value() * 1.05;

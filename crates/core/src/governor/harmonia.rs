@@ -144,8 +144,9 @@ impl KernelState {
 
 /// The two-level Harmonia power-management governor.
 ///
-/// Hardening (safe-state watchdog, counter sanitization) is not built in:
-/// compose it via [`WatchdogLayer`](crate::governor::WatchdogLayer) /
+/// Hardening (safe-state park or degradation ladder, counter sanitization)
+/// is not built in: compose it via
+/// [`DegradeLayer`](crate::governor::DegradeLayer) /
 /// [`SanitizeLayer`](crate::governor::SanitizeLayer) or ask the
 /// [`PolicySpec`](crate::governor::PolicySpec) registry for a
 /// `hardened:*` stack.

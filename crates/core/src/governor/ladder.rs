@@ -1,47 +1,55 @@
-//! Graceful-degradation ladder: stepwise fallback instead of the
-//! watchdog's all-or-nothing park.
+//! Graceful degradation: the one state machine behind every safe-state
+//! fallback.
 //!
-//! The [`WatchdogLayer`](super::WatchdogLayer) answers every anomaly
-//! streak the same way: pin the safe state and bypass the whole policy.
-//! That throws away the CG/FG machinery even when a *partial* failure —
-//! a flaky fine-grain probe, a stuck counter the sanitizer is already
-//! holding — could be ridden out at reduced capability. [`DegradeLayer`]
-//! replaces the binary park with a [`Ladder`] of named [`Rung`]s:
+//! A [`Ladder`] walks named [`Rung`]s: sustained anomalies demote it one
+//! rung toward the pinned safe state, and a served hold promotes it back.
+//! Every hardened stack is one of two configurations of it:
 //!
 //! ```text
-//!   Full (CG + FG)  ──demote──▶  CG-only  ──▶  freq-only  ──▶  safe-state
-//!        ◀──promote (hysteresis: `hold` consecutive clean intervals)──
+//!   ladder:  Full (CG + FG) ──▶ CG-only ──▶ freq-only ──▶ safe-state
+//!   park:    Full ─────────────────────────────────────▶ safe-state
+//!        ◀──promote (after a hold that doubles per demotion)──
 //! ```
 //!
-//! Each demotion steps one rung down after `demote_threshold` consecutive
-//! anomalous intervals (the terminal step into the safe state demands the
-//! longer `safe_demote_threshold` streak) and *doubles* the promotion hold
-//! (exponential backoff, capped at `max_hold`), so a flapping fault
-//! settles onto a low rung instead of oscillating. Promotion climbs one rung at a time and
-//! requires `hold` consecutive clean intervals per step; a long clean
-//! streak at the top rung resets the backoff. Anomalies are judged by the
-//! same [`CounterCheck`] the watchdog uses, widened with sanitizer-reject
-//! pressure (new rejects recorded into the shared [`PolicyStats`] since
-//! the previous interval count as anomalous — the sanitizer's escalation
-//! path lands here). The two sources carry different weight
-//! ([`LadderSignal`]): a check verdict is *harmful* and can demote any
-//! rung, while sanitizer pressure alone is only *suspect* — it demotes
-//! the capability rungs (whose learning loops would otherwise ingest
-//! substituted samples) but holds at [`Rung::FreqOnly`] rather than
-//! taking the terminal park, because a fault the sanitizer is already
-//! containing is no reason to surrender the last knob.
+//! * The four-rung **ladder** ([`DegradeLayer::new`], registry
+//!   `hardened:ladder`) rides out partial failures at reduced capability.
+//!   Each demotion takes `demote_threshold` consecutive anomalous
+//!   intervals (the terminal step into the safe state the longer
+//!   `safe_demote_threshold`), and promotion needs `hold` consecutive
+//!   clean intervals per step ([`Release::CleanHold`]), so a flapping
+//!   fault settles onto a low rung instead of oscillating.
+//! * The two-rung **park** ([`DegradeLayer::park`], registry
+//!   `hardened:harmonia` and `hardened:capped`) is all-or-nothing: three
+//!   anomalies pin the safe state, which is released after `hold`
+//!   observed intervals whatever they looked like ([`Release::Timed`]) —
+//!   the discipline of PowerTune-style firmware, which drops to a known
+//!   DPM state and re-engages cautiously.
 //!
-//! Rung residency, demotions, and promotions are exported through
-//! [`PolicyStats`]; every shift emits [`TraceEvent::RungShift`], and the
-//! safe-state boundary additionally emits the watchdog's
-//! `FallbackEngaged`/`FallbackReleased` pair so existing safe-residency
-//! accounting (chaos tables, trace summaries) reads the ladder's bottom
-//! rung exactly like a parked watchdog.
+//! Both double the hold per demotion (exponential backoff, capped at
+//! `max_hold`), and a `clean_reset` streak at the top rung resets it.
+//!
+//! What counts as anomalous is the layer's [`AnomalyCheck`]:
+//! [`CounterCheck`] judges counter plausibility and throughput collapse,
+//! [`CapCheck`](super::CapCheck) power-cap violations. The ladder also
+//! reads sanitizer pressure (new rejects recorded into the shared
+//! [`PolicyStats`] since the previous interval) when
+//! [`LadderConfig::pressure_is_suspect`] is set.
+//! The two sources carry different weight ([`LadderSignal`]): a check
+//! verdict is *harmful* and can demote any rung, while pressure alone is
+//! only *suspect* — it demotes the capability rungs (whose learning loops
+//! would otherwise ingest substituted samples) but never takes the
+//! terminal park, because a fault the sanitizer already contains is no
+//! reason to surrender the last knob.
+//!
+//! Rung residency, demotions, promotions and safe-state entries are
+//! exported through [`PolicyStats`], and every shift emits
+//! [`TraceEvent::RungShift`]; trace summaries count safe-state residency
+//! from the shifts into and out of `safe-state`.
 
 use crate::governor::stack::{
     AnomalyCheck, BoxGovernor, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
+    SanitizerPressure,
 };
-use crate::governor::watchdog::{safe_state, WatchdogConfig};
 use crate::governor::Governor;
 use crate::telemetry::{TraceEvent, TraceHandle};
 use harmonia_sim::{CounterSample, KernelProfile};
@@ -57,13 +65,17 @@ pub enum Rung {
     CgOnly,
     /// Compute-DVFS-only: CU frequency is the single remaining knob.
     FreqOnly,
-    /// Pinned safe state (32 CU @ 500 MHz, memory untouched).
+    /// Pinned safe state (the device's mid-ladder DPM clock on every CU,
+    /// memory untouched).
     SafeState,
 }
 
 impl Rung {
-    /// All rungs, top to bottom.
+    /// The four-rung ladder, top to bottom.
     pub const ALL: [Rung; 4] = [Rung::Full, Rung::CgOnly, Rung::FreqOnly, Rung::SafeState];
+
+    /// The two-rung park, top to bottom.
+    pub const PARK: [Rung; 2] = [Rung::Full, Rung::SafeState];
 
     /// Stable index into per-rung arrays ([`PolicyStats::rung_residency`]).
     pub fn index(self) -> usize {
@@ -79,50 +91,45 @@ impl Rung {
             Rung::SafeState => "safe-state",
         }
     }
-
-    /// One rung down (toward the safe state); `None` at the bottom.
-    pub fn down(self) -> Option<Rung> {
-        match self {
-            Rung::Full => Some(Rung::CgOnly),
-            Rung::CgOnly => Some(Rung::FreqOnly),
-            Rung::FreqOnly => Some(Rung::SafeState),
-            Rung::SafeState => None,
-        }
-    }
-
-    /// One rung up (toward full capability); `None` at the top.
-    pub fn up(self) -> Option<Rung> {
-        match self {
-            Rung::Full => None,
-            Rung::CgOnly => Some(Rung::Full),
-            Rung::FreqOnly => Some(Rung::CgOnly),
-            Rung::SafeState => Some(Rung::FreqOnly),
-        }
-    }
 }
 
-/// Tuning for the [`Ladder`] state machine. Defaults mirror
-/// [`WatchdogConfig`](super::WatchdogConfig) so a ladder demotes exactly
-/// when the parked watchdog would have engaged.
+/// How a demoted [`Ladder`] earns its way back up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Release {
+    /// Each promotion needs `hold` *consecutive clean* intervals; any
+    /// anomaly restarts the count (hysteresis against flapping faults).
+    CleanHold,
+    /// Each promotion comes after `hold` observed intervals, anomalous or
+    /// not: a timed park whose backoff doubling handles recurrence.
+    Timed,
+}
+
+/// Tuning for the [`Ladder`] state machine. The default is the four-rung
+/// ladder's; [`LadderConfig::park`] is the two-rung park's.
 #[derive(Debug, Clone, Copy)]
 pub struct LadderConfig {
     /// Consecutive anomalous intervals before demoting one rung.
     pub demote_threshold: u32,
-    /// Consecutive anomalous intervals before the *terminal* demotion
-    /// ([`Rung::FreqOnly`] → [`Rung::SafeState`]). The park discards all
+    /// Consecutive anomalous intervals before the *terminal* demotion into
+    /// [`Rung::SafeState`]. On the four-rung ladder the park discards all
     /// remaining control authority, so it demands a longer streak than the
     /// intermediate steps — this is what keeps the ladder's safe-state
-    /// residency strictly below a binary watchdog's under faults the
-    /// degraded rungs can ride out.
+    /// residency strictly below a park's under faults the degraded rungs
+    /// can ride out.
     pub safe_demote_threshold: u32,
-    /// Clean intervals required for the first promotion (doubles per
-    /// demotion — exponential backoff).
+    /// Hold of the first demotion, in intervals (doubles per demotion —
+    /// exponential backoff).
     pub base_hold: u64,
-    /// Backoff ceiling for the promotion hold.
+    /// Backoff ceiling for the hold.
     pub max_hold: u64,
     /// Consecutive clean intervals at [`Rung::Full`] that reset the
     /// backoff to `base_hold`.
     pub clean_reset: u64,
+    /// How a demoted rung is promoted.
+    pub release: Release,
+    /// Whether sanitizer pressure alone counts as a
+    /// [`Suspect`](LadderSignal::Suspect) interval.
+    pub pressure_is_suspect: bool,
 }
 
 impl Default for LadderConfig {
@@ -133,6 +140,21 @@ impl Default for LadderConfig {
             base_hold: 4,
             max_hold: 64,
             clean_reset: 16,
+            release: Release::CleanHold,
+            pressure_is_suspect: true,
+        }
+    }
+}
+
+impl LadderConfig {
+    /// The park's tuning: three anomalies trip it, the hold is timed, and
+    /// sanitizer pressure is ignored (the park's check alone judges).
+    pub fn park() -> Self {
+        Self {
+            safe_demote_threshold: 3,
+            release: Release::Timed,
+            pressure_is_suspect: false,
+            ..Self::default()
         }
     }
 }
@@ -140,13 +162,14 @@ impl Default for LadderConfig {
 /// How bad one observation interval looked, from the ladder's point of
 /// view.
 ///
-/// The split matters at the terminal rung: a [`Suspect`](LadderSignal)
-/// interval (the sanitizer substituted a lying sample, but the substitute
-/// is plausible and the decision loop is still functioning) holds
-/// [`Rung::FreqOnly`] in place — it earns no promotion credit, but it is
-/// not evidence that the last remaining knob must be discarded. Only
-/// [`Harmful`](LadderSignal) intervals (implausible counters, actuation
-/// mismatch, performance collapse) grow the terminal-demotion streak.
+/// The split matters at the rung just above the safe state: a
+/// [`Suspect`](LadderSignal) interval (the sanitizer substituted a lying
+/// sample, but the substitute is plausible and the decision loop is still
+/// functioning) holds that rung in place — it earns no promotion credit,
+/// but it is not evidence that the last remaining knob must be discarded.
+/// Only [`Harmful`](LadderSignal) intervals (implausible counters,
+/// actuation mismatch, performance collapse) grow the terminal-demotion
+/// streak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LadderSignal {
     /// Interval looked healthy.
@@ -164,42 +187,56 @@ pub enum LadderSignal {
 pub enum LadderTransition {
     /// No rung change this interval.
     None,
-    /// Stepped one rung down; `hold` clean intervals are now required
-    /// before the first promotion back up.
+    /// Stepped one rung down; the rung is held for `hold` intervals (see
+    /// [`Release`]) before the first promotion back up.
     Demoted { from: Rung, to: Rung, hold: u64 },
-    /// Stepped one rung up after the hold was served cleanly.
+    /// Stepped one rung up after the hold was served.
     Promoted { from: Rung, to: Rung },
 }
 
-/// The ladder state machine: anomaly streaks demote, clean streaks
-/// promote, with hysteresis (promotion hold) and exponential backoff
-/// (hold doubles per demotion). Pure state — the [`DegradeGovernor`]
-/// wires it to checks, governors, and telemetry.
+/// The ladder state machine: anomaly streaks demote, served holds
+/// promote, and the hold doubles per demotion. Pure state — the
+/// [`DegradeLayer`] decorator wires it to checks, governors, and
+/// telemetry.
 #[derive(Debug)]
 pub struct Ladder {
     config: LadderConfig,
-    rung: Rung,
+    /// The rungs walked, top to bottom ([`Rung::ALL`] or [`Rung::PARK`]).
+    rungs: &'static [Rung],
+    /// Index of the current rung in `rungs`.
+    at: usize,
     /// Consecutive anomalous intervals at the current rung.
     streak: u32,
-    /// Consecutive clean intervals at the current rung.
+    /// Intervals served toward the next promotion (consecutive clean ones
+    /// under [`Release::CleanHold`]); at the top, the clean streak.
     clean: u64,
-    /// Next demotion's promotion hold (doubles per demotion).
+    /// Next demotion's hold (doubles per demotion).
     hold: u64,
-    /// Clean intervals required per promotion step, fixed at demotion
-    /// time. A square-wave fault whose clean half-period is shorter than
-    /// this can never promote — the non-oscillation property.
+    /// Intervals required per promotion step, fixed at demotion time. A
+    /// square-wave fault whose clean half-period is shorter than this can
+    /// never promote a clean-hold ladder — the non-oscillation property.
     required: u64,
     demotions: u64,
     promotions: u64,
 }
 
 impl Ladder {
-    /// A ladder at [`Rung::Full`] with fresh backoff.
+    /// A four-rung ladder at [`Rung::Full`] with fresh backoff.
     pub fn new(config: LadderConfig) -> Self {
+        Self::with_rungs(config, &Rung::ALL)
+    }
+
+    /// A two-rung park at [`Rung::Full`] with fresh backoff.
+    pub fn park(config: LadderConfig) -> Self {
+        Self::with_rungs(config, &Rung::PARK)
+    }
+
+    fn with_rungs(config: LadderConfig, rungs: &'static [Rung]) -> Self {
         let hold = config.base_hold.max(1);
         Self {
             config,
-            rung: Rung::Full,
+            rungs,
+            at: 0,
             streak: 0,
             clean: 0,
             hold,
@@ -211,7 +248,12 @@ impl Ladder {
 
     /// The current rung.
     pub fn rung(&self) -> Rung {
-        self.rung
+        self.rungs[self.at]
+    }
+
+    /// The rung one step down, `None` at the bottom.
+    fn below(&self) -> Option<Rung> {
+        self.rungs.get(self.at + 1).copied()
     }
 
     /// The tuning in effect.
@@ -219,7 +261,7 @@ impl Ladder {
         &self.config
     }
 
-    /// Clean intervals currently required per promotion step.
+    /// Intervals currently required per promotion step.
     ///
     /// Reads `required`, not the `hold` field: `hold` is the *next*
     /// backoff value, fixed into `required` at demotion time.
@@ -240,22 +282,19 @@ impl Ladder {
 
     /// Advances one observation interval with the full three-valued
     /// signal. [`LadderSignal::Suspect`] behaves like
-    /// [`LadderSignal::Harmful`] on every rung except [`Rung::FreqOnly`],
-    /// where it freezes the ladder: the clean streak resets (no promotion
-    /// on lying telemetry) but the demotion streak does not grow (no
-    /// parking on contained noise).
+    /// [`LadderSignal::Harmful`] on every rung except the one just above
+    /// the safe state, where it freezes the ladder: the clean streak
+    /// resets (no promotion on lying telemetry) but the demotion streak
+    /// does not grow (no parking on contained noise).
     pub fn signal(&mut self, signal: LadderSignal) -> LadderTransition {
         match signal {
             LadderSignal::Clean => self.tick(false),
             LadderSignal::Harmful => self.tick(true),
-            LadderSignal::Suspect => {
-                if self.rung == Rung::FreqOnly {
-                    self.clean = 0;
-                    LadderTransition::None
-                } else {
-                    self.tick(true)
-                }
+            LadderSignal::Suspect if self.below() == Some(Rung::SafeState) => {
+                self.clean = 0;
+                LadderTransition::None
             }
+            LadderSignal::Suspect => self.tick(true),
         }
     }
 
@@ -263,18 +302,18 @@ impl Ladder {
     /// (`anomalous` maps to [`LadderSignal::Harmful`]).
     pub fn tick(&mut self, anomalous: bool) -> LadderTransition {
         if anomalous {
-            self.clean = 0;
             self.streak += 1;
-            let threshold = if self.rung == Rung::FreqOnly {
-                self.config.safe_demote_threshold.max(1)
+            let threshold = if self.below() == Some(Rung::SafeState) {
+                self.config.safe_demote_threshold
             } else {
-                self.config.demote_threshold.max(1)
+                self.config.demote_threshold
             };
-            if self.streak >= threshold {
+            if self.streak >= threshold.max(1) {
                 self.streak = 0;
-                if let Some(to) = self.rung.down() {
-                    let from = self.rung;
-                    self.rung = to;
+                if let Some(to) = self.below() {
+                    let from = self.rung();
+                    self.at += 1;
+                    self.clean = 0;
                     self.required = self.hold;
                     self.hold = (self.hold.saturating_mul(2)).min(self.config.max_hold.max(1));
                     self.demotions += 1;
@@ -285,79 +324,103 @@ impl Ladder {
                     };
                 }
             }
-            return LadderTransition::None;
+            // A timed hold runs out whatever the interval looked like;
+            // everywhere else an anomaly restarts the clean count.
+            if self.at == 0 || self.config.release == Release::CleanHold {
+                self.clean = 0;
+                return LadderTransition::None;
+            }
+        } else {
+            self.streak = 0;
         }
-        self.streak = 0;
         self.clean = self.clean.saturating_add(1);
-        if self.rung == Rung::Full {
+        if self.at == 0 {
             if self.clean >= self.config.clean_reset {
                 self.hold = self.config.base_hold.max(1);
             }
             return LadderTransition::None;
         }
         if self.clean >= self.required {
-            let from = self.rung;
-            let to = from.up().expect("below Full");
-            self.rung = to;
+            let from = self.rung();
+            self.at -= 1;
             self.clean = 0;
+            self.streak = 0;
             self.promotions += 1;
-            return LadderTransition::Promoted { from, to };
+            return LadderTransition::Promoted {
+                from,
+                to: self.rung(),
+            };
         }
         LadderTransition::None
     }
 }
 
-/// Blueprint for the graceful-degradation decorator. [`layer`] wraps the
-/// inner governor as the [`Rung::Full`] policy; the CG-only and
-/// frequency-only alternates are supplied up front (the registry builds
-/// them from the same predictor).
+/// Blueprint for the degradation decorator. [`layer`] wraps the inner
+/// governor as the [`Rung::Full`] policy: as a four-rung ladder
+/// ([`new`](Self::new)) with CG-only and frequency-only alternates supplied
+/// up front (the registry builds them from the same predictor), or as a
+/// two-rung park ([`park`](Self::park)).
 ///
 /// [`layer`]: GovernorLayer::layer
 pub struct DegradeLayer<'a> {
-    config: LadderConfig,
-    wd_config: WatchdogConfig,
-    cg: BoxGovernor<'a>,
-    freq: BoxGovernor<'a>,
+    ladder: Ladder,
+    check: Box<dyn AnomalyCheck + 'a>,
+    cg: Option<BoxGovernor<'a>>,
+    freq: Option<BoxGovernor<'a>>,
     safe: HwConfig,
     ledger: DecisionLedger,
     stats: PolicyStats,
 }
 
 impl<'a> DegradeLayer<'a> {
-    /// A ladder stepping down from the (future) inner governor through
-    /// `cg` and `freq` to the standard safe state.
-    pub fn new(config: LadderConfig, cg: BoxGovernor<'a>, freq: BoxGovernor<'a>) -> Self {
+    /// A four-rung ladder stepping down from the (future) inner governor
+    /// through `cg` and `freq` to `safe` (a catalog device's
+    /// [`DeviceSpec::safe_state`](harmonia_types::DeviceSpec::safe_state)),
+    /// judged by a [`CounterCheck`] with the actuation check armed.
+    pub fn new(
+        config: LadderConfig,
+        safe: HwConfig,
+        cg: BoxGovernor<'a>,
+        freq: BoxGovernor<'a>,
+    ) -> Self {
+        Self::build(
+            Ladder::new(config),
+            safe,
+            Box::new(CounterCheck::new(true)),
+            Some(cg),
+            Some(freq),
+        )
+    }
+
+    /// A two-rung park judged by `check`: while parked, decisions pin to
+    /// `safe` and the inner governor's `decide` is bypassed. Quarantining
+    /// checks also withhold tainted samples from the inner governor's
+    /// learning loops; the others let it keep learning.
+    pub fn park(config: LadderConfig, safe: HwConfig, check: Box<dyn AnomalyCheck + 'a>) -> Self {
+        Self::build(Ladder::park(config), safe, check, None, None)
+    }
+
+    fn build(
+        ladder: Ladder,
+        safe: HwConfig,
+        check: Box<dyn AnomalyCheck + 'a>,
+        cg: Option<BoxGovernor<'a>>,
+        freq: Option<BoxGovernor<'a>>,
+    ) -> Self {
         Self {
-            config,
-            wd_config: WatchdogConfig {
-                check_actuation: true,
-                ..WatchdogConfig::default()
-            },
+            ladder,
+            check,
             cg,
             freq,
-            safe: safe_state(),
+            safe,
             ledger: DecisionLedger::new(),
             stats: PolicyStats::new(),
         }
     }
 
-    /// Overrides the anomaly-check tuning (collapse ratio, actuation
-    /// check) — the ladder checks actuation by default.
-    pub fn with_check_config(mut self, wd_config: WatchdogConfig) -> Self {
-        self.wd_config = wd_config;
-        self
-    }
-
-    /// Overrides the terminal rung's pinned configuration (e.g. a catalog
-    /// device's [`DeviceSpec::safe_state`](harmonia_types::DeviceSpec::safe_state)
-    /// instead of the HD7970 default).
-    pub fn with_safe_state(mut self, safe: HwConfig) -> Self {
-        self.safe = safe;
-        self
-    }
-
-    /// Shares `stats` so rung residency/demotions/promotions and fallback
-    /// engagements are counted into an external handle.
+    /// Shares `stats` so rung residency, shifts and safe-state entries are
+    /// counted into an external handle (registry-built stacks report
+    /// through [`Policy::stats`](super::Policy)).
     pub fn with_stats(mut self, stats: &PolicyStats) -> Self {
         self.stats = stats.clone();
         self
@@ -373,17 +436,18 @@ impl<'a> DegradeLayer<'a> {
 
 impl<'a> GovernorLayer<'a> for DegradeLayer<'a> {
     fn layer(self, inner: BoxGovernor<'a>) -> BoxGovernor<'a> {
+        let ordinal = self.stats.register_degrade_layer();
         Box::new(DegradeGovernor {
             full: inner,
             cg: self.cg,
             freq: self.freq,
             safe: self.safe,
-            ladder: Ladder::new(self.config),
-            check: CounterCheck::new(),
-            wd_config: self.wd_config,
+            ladder: self.ladder,
+            check: self.check,
             ledger: self.ledger,
             stats: self.stats,
-            last_rejects: 0,
+            ordinal,
+            pressure: SanitizerPressure::default(),
             trace: TraceHandle::disabled(),
         })
     }
@@ -391,36 +455,31 @@ impl<'a> GovernorLayer<'a> for DegradeLayer<'a> {
 
 /// The decorator produced by [`DegradeLayer`]: routes decisions to the
 /// active rung's governor and walks the [`Ladder`] on every observation.
-pub struct DegradeGovernor<'a> {
+struct DegradeGovernor<'a> {
     full: BoxGovernor<'a>,
-    cg: BoxGovernor<'a>,
-    freq: BoxGovernor<'a>,
+    cg: Option<BoxGovernor<'a>>,
+    freq: Option<BoxGovernor<'a>>,
     safe: HwConfig,
     ladder: Ladder,
-    check: CounterCheck,
-    wd_config: WatchdogConfig,
+    check: Box<dyn AnomalyCheck + 'a>,
     ledger: DecisionLedger,
     stats: PolicyStats,
-    /// Sanitizer reject total at the previous observation, for the
-    /// new-rejects-this-interval pressure signal.
-    last_rejects: u64,
+    /// This layer's place among the degradation layers sharing `stats`.
+    ordinal: u64,
+    pressure: SanitizerPressure,
     trace: TraceHandle,
 }
 
 impl DegradeGovernor<'_> {
-    /// The governor owning the given rung, or `None` at the safe state.
-    fn rung_governor(&mut self, rung: Rung) -> Option<&mut dyn Governor> {
+    /// The governor behind `rung`. The safe state decides nothing itself,
+    /// but the Full-rung stack it parks still conditions every measurement
+    /// and, under a non-quarantining check, keeps learning.
+    fn rung_governor(&mut self, rung: Rung) -> &mut dyn Governor {
         match rung {
-            Rung::Full => Some(&mut self.full),
-            Rung::CgOnly => Some(&mut self.cg),
-            Rung::FreqOnly => Some(&mut self.freq),
-            Rung::SafeState => None,
+            Rung::Full | Rung::SafeState => &mut self.full,
+            Rung::CgOnly => self.cg.as_mut().expect("only four-rung ladders visit cg-only"),
+            Rung::FreqOnly => self.freq.as_mut().expect("only four-rung ladders visit freq-only"),
         }
-    }
-
-    /// The current rung (tests, reports).
-    pub fn rung(&self) -> Rung {
-        self.ladder.rung()
     }
 }
 
@@ -434,15 +493,15 @@ impl Governor for DegradeGovernor<'_> {
     fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace.clone();
         self.full.set_trace(trace.clone());
-        self.cg.set_trace(trace.clone());
-        self.freq.set_trace(trace);
+        for g in [self.cg.as_mut(), self.freq.as_mut()].into_iter().flatten() {
+            g.set_trace(trace.clone());
+        }
     }
 
     fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
-        let safe = self.safe;
-        let cfg = match self.rung_governor(self.ladder.rung()) {
-            Some(g) => g.decide(kernel, iteration),
-            None => safe,
+        let cfg = match self.ladder.rung() {
+            Rung::SafeState => self.safe,
+            rung => self.rung_governor(rung).decide(kernel, iteration),
         };
         self.ledger.grant(&kernel.name, cfg);
         cfg
@@ -456,10 +515,8 @@ impl Governor for DegradeGovernor<'_> {
         time: Seconds,
         counters: CounterSample,
     ) -> (Seconds, CounterSample) {
-        match self.rung_governor(self.ladder.rung()) {
-            Some(g) => g.condition(kernel, iteration, cfg, time, counters),
-            None => (time, counters),
-        }
+        self.rung_governor(self.ladder.rung())
+            .condition(kernel, iteration, cfg, time, counters)
     }
 
     fn observe(
@@ -470,28 +527,19 @@ impl Governor for DegradeGovernor<'_> {
         counters: &CounterSample,
     ) {
         let rung_before = self.ladder.rung();
-        self.stats.count_rung_residency(rung_before.index());
-        let engaged_before = rung_before == Rung::SafeState;
+        self.stats.count_rung_residency(self.ordinal, rung_before);
+        let parked = rung_before == Rung::SafeState;
         let granted = self.ledger.granted(&kernel.name);
-        let verdict = self.check.verdict(
-            kernel,
-            cfg,
-            counters,
-            &self.wd_config,
-            granted,
-            engaged_before,
-        );
-        // Sanitizer pressure: rejects recorded into the shared stats since
-        // the last interval mean the conditioned sample we just saw was
+        let verdict = self.check.verdict(kernel, cfg, counters, granted, parked);
+        // Sanitizer pressure: the conditioned sample we just saw was
         // (partly) substituted — the counters are lying even though the
         // substitute passes plausibility. That is *suspect* (the
         // substitution contained the damage), not *harmful*: it demotes the
         // capability rungs whose learning loops would ingest the
         // substitutes, but it can never justify the terminal park.
-        let rejects = self.stats.sanitizer_rejects();
-        let pressure = verdict.is_none() && rejects > self.last_rejects;
-        self.last_rejects = rejects;
-        let what = verdict.or(pressure.then_some("sanitizer pressure"));
+        let pressure = self.pressure.under_pressure(&self.stats);
+        let suspect = self.ladder.config().pressure_is_suspect && verdict.is_none() && pressure;
+        let what = verdict.or(suspect.then_some("sanitizer pressure"));
         if let Some(what) = what {
             self.trace.emit(|| TraceEvent::FaultDetected {
                 kernel: kernel.name.clone(),
@@ -501,63 +549,41 @@ impl Governor for DegradeGovernor<'_> {
         }
         let signal = if verdict.is_some() {
             LadderSignal::Harmful
-        } else if pressure {
+        } else if suspect {
             LadderSignal::Suspect
         } else {
             LadderSignal::Clean
         };
-        match self.ladder.signal(signal) {
+        let shift = match self.ladder.signal(signal) {
             LadderTransition::Demoted { from, to, hold } => {
-                self.stats.count_rung_demotion();
-                self.trace.emit(|| TraceEvent::RungShift {
-                    kernel: kernel.name.clone(),
-                    iteration,
-                    from: from.label().to_string(),
-                    to: to.label().to_string(),
-                    hold,
-                });
-                if to == Rung::SafeState {
-                    // The bottom rung is the watchdog's park: reuse its
-                    // event pair so safe-residency accounting is uniform.
-                    self.stats.count_fallback_engagement();
-                    let safe = self.safe;
-                    self.trace.emit(|| TraceEvent::FallbackEngaged {
-                        kernel: kernel.name.clone(),
-                        iteration,
-                        safe: safe.into(),
-                        hold,
-                    });
-                }
+                self.stats.count_rung_demotion(to);
+                Some((from, to, hold))
             }
             LadderTransition::Promoted { from, to } => {
-                self.stats.count_rung_promotion();
-                self.trace.emit(|| TraceEvent::RungShift {
-                    kernel: kernel.name.clone(),
-                    iteration,
-                    from: from.label().to_string(),
-                    to: to.label().to_string(),
-                    hold: 0,
-                });
-                if from == Rung::SafeState {
-                    self.trace.emit(|| TraceEvent::FallbackReleased {
-                        kernel: kernel.name.clone(),
-                        iteration,
-                    });
-                }
+                self.stats.count_rung_promotion(from);
+                Some((from, to, 0))
             }
-            LadderTransition::None => {}
+            LadderTransition::None => None,
+        };
+        if let Some((from, to, hold)) = shift {
+            self.trace.emit(|| TraceEvent::RungShift {
+                kernel: kernel.name.clone(),
+                iteration,
+                from: from.label().to_string(),
+                to: to.label().to_string(),
+                hold,
+            });
         }
-        // Quarantine exactly like the counter watchdog: anomalous samples
-        // are garbage and safe-state samples were produced under the pin —
-        // neither may reach any rung's learning loops.
-        if engaged_before || what.is_some() {
+        // Quarantine: an anomalous sample is garbage, and one observed
+        // while parked was produced under the pinned safe state — neither
+        // may reach a quarantining layer's learning loops.
+        if self.check.quarantines() && (parked || what.is_some()) {
             return;
         }
         // The sample was produced under `rung_before`'s decision: only
         // that rung's governor learns from it.
-        if let Some(g) = self.rung_governor(rung_before) {
-            g.observe(kernel, iteration, cfg, counters);
-        }
+        self.rung_governor(rung_before)
+            .observe(kernel, iteration, cfg, counters);
     }
 }
 
@@ -565,6 +591,18 @@ impl Governor for DegradeGovernor<'_> {
 mod tests {
     use super::*;
     use crate::governor::BaselineGovernor;
+
+    fn safe() -> HwConfig {
+        harmonia_types::DeviceSpec::hd7970().safe_state()
+    }
+
+    fn garbage() -> CounterSample {
+        CounterSample {
+            duration: Seconds(0.01),
+            valu_busy_pct: f64::NAN,
+            ..CounterSample::default()
+        }
+    }
 
     fn ladder() -> Ladder {
         Ladder::new(LadderConfig::default())
@@ -717,29 +755,181 @@ mod tests {
         let stats = PolicyStats::new();
         let mut g = DegradeLayer::new(
             LadderConfig::default(),
+            safe(),
             Box::new(BaselineGovernor::new()),
             Box::new(BaselineGovernor::new()),
         )
         .with_stats(&stats)
         .layer(Box::new(BaselineGovernor::new()));
         let k = KernelProfile::builder("k").build();
-        let garbage = CounterSample {
-            duration: Seconds(0.01),
-            valu_busy_pct: f64::NAN,
-            ..CounterSample::default()
-        };
         // Drive all the way down: 3 + 3 anomalies through the intermediate
         // rungs, then the doubled terminal streak of 6.
         for i in 0..12 {
             let cfg = g.decide(&k, i);
-            g.observe(&k, i, cfg, &garbage);
+            g.observe(&k, i, cfg, &garbage());
         }
-        assert_eq!(g.decide(&k, 12), safe_state());
+        assert_eq!(g.decide(&k, 12), safe());
         assert_eq!(stats.rung_demotions(), 3);
         assert_eq!(stats.fallback_engagements(), 1, "bottom rung counts as park");
         let residency = stats.rung_residency();
         assert_eq!(residency[Rung::Full.index()], 3);
         assert_eq!(residency[Rung::CgOnly.index()], 3);
         assert_eq!(residency[Rung::FreqOnly.index()], 6);
+    }
+
+    fn park() -> Ladder {
+        Ladder::park(LadderConfig::park())
+    }
+
+    fn counter_park() -> DegradeLayer<'static> {
+        DegradeLayer::park(LadderConfig::park(), safe(), Box::new(CounterCheck::new(false)))
+    }
+
+    fn parked(l: &Ladder) -> bool {
+        l.rung() == Rung::SafeState
+    }
+
+    const ENGAGED: LadderTransition = LadderTransition::Demoted {
+        from: Rung::Full,
+        to: Rung::SafeState,
+        hold: 4,
+    };
+    const RELEASED: LadderTransition = LadderTransition::Promoted {
+        from: Rung::SafeState,
+        to: Rung::Full,
+    };
+
+    #[test]
+    fn park_engages_only_after_consecutive_threshold() {
+        let mut p = park();
+        assert_eq!(p.tick(true), LadderTransition::None);
+        assert_eq!(p.tick(true), LadderTransition::None);
+        // A clean interval breaks the streak.
+        assert_eq!(p.tick(false), LadderTransition::None);
+        assert_eq!(p.tick(true), LadderTransition::None);
+        assert_eq!(p.tick(true), LadderTransition::None);
+        assert_eq!(p.tick(true), ENGAGED);
+        assert!(parked(&p));
+    }
+
+    #[test]
+    fn park_hold_expires_whatever_the_intervals_look_like() {
+        let mut p = park();
+        drive(&mut p, true, 3);
+        assert!(parked(&p));
+        // base_hold = 4: three more ticks stay parked, the fourth releases
+        // — anomalous or not.
+        assert_eq!(p.tick(true), LadderTransition::None);
+        assert_eq!(p.tick(false), LadderTransition::None);
+        assert_eq!(p.tick(true), LadderTransition::None);
+        assert_eq!(p.tick(false), RELEASED);
+        assert!(!parked(&p));
+    }
+
+    #[test]
+    fn park_backoff_doubles_up_to_cap_and_resets_after_clean_streak() {
+        let mut p = park();
+        let engage_and_release = |p: &mut Ladder| {
+            while !parked(p) {
+                p.tick(true);
+            }
+            let held = p.hold();
+            while parked(p) {
+                p.tick(true);
+            }
+            held
+        };
+        assert_eq!(engage_and_release(&mut p), 4);
+        assert_eq!(engage_and_release(&mut p), 8);
+        assert_eq!(engage_and_release(&mut p), 16);
+        // A long clean run resets the backoff to base.
+        drive(&mut p, false, 16);
+        assert_eq!(engage_and_release(&mut p), 4);
+    }
+
+    #[test]
+    fn park_backoff_caps_at_max_hold() {
+        let mut p = Ladder::park(LadderConfig {
+            max_hold: 8,
+            ..LadderConfig::park()
+        });
+        for _ in 0..10 {
+            while !parked(&p) {
+                p.tick(true);
+            }
+            assert!(p.hold() <= 8);
+            while parked(&p) {
+                p.tick(true);
+            }
+        }
+        assert_eq!(p.demotions(), 10);
+    }
+
+    #[test]
+    fn park_layer_engages_after_threshold_and_pins_safe_state() {
+        let stats = PolicyStats::new();
+        let mut g = counter_park()
+            .with_stats(&stats)
+            .layer(Box::new(BaselineGovernor::new()));
+        let k = KernelProfile::builder("k").build();
+        let boost = HwConfig::max_hd7970();
+        for i in 0..3 {
+            assert_eq!(g.decide(&k, i), boost);
+            g.observe(&k, i, boost, &garbage());
+        }
+        assert_eq!(stats.fallback_engagements(), 1);
+        assert_eq!(g.decide(&k, 3), safe());
+        // base_hold = 4: the hold runs out after four parked intervals.
+        for i in 3..7 {
+            let cfg = g.decide(&k, i);
+            g.observe(&k, i, cfg, &garbage());
+        }
+        assert_eq!(g.decide(&k, 7), boost, "released after the hold expires");
+        assert_eq!(stats.rung_residency(), [3, 0, 0, 4]);
+    }
+
+    #[test]
+    fn park_layer_is_name_transparent() {
+        let g = counter_park().layer(Box::new(BaselineGovernor::new()));
+        assert_eq!(g.name(), "baseline");
+    }
+
+    #[test]
+    fn nested_parks_count_residency_once_per_interval() {
+        // Outer park over inner park, both on one stats handle: only the
+        // inner one trips (the outer's check never fires), and every
+        // interval is counted exactly once, as safe while either is parked.
+        struct Never;
+        impl AnomalyCheck for Never {
+            fn verdict(
+                &mut self,
+                _: &KernelProfile,
+                _: HwConfig,
+                _: &CounterSample,
+                _: Option<HwConfig>,
+                _: bool,
+            ) -> Option<&'static str> {
+                None
+            }
+            fn quarantines(&self) -> bool {
+                false
+            }
+        }
+        let stats = PolicyStats::new();
+        let inner = counter_park()
+            .with_stats(&stats)
+            .layer(Box::new(BaselineGovernor::new()));
+        let mut g = DegradeLayer::park(LadderConfig::park(), safe(), Box::new(Never))
+            .with_stats(&stats)
+            .layer(inner);
+        let k = KernelProfile::builder("k").build();
+        for i in 0..10 {
+            let cfg = g.decide(&k, i);
+            g.observe(&k, i, cfg, &garbage());
+        }
+        // 3 full intervals trip the inner park, 4 parked, 3 more to trip it
+        // again.
+        assert_eq!(stats.rung_residency(), [6, 0, 0, 4]);
+        assert_eq!(stats.fallback_engagements(), 2);
     }
 }

@@ -16,11 +16,12 @@
 //!   minimization over all ~450 configurations ("impractical to implement",
 //!   but the paper's upper bound).
 //!
-//! Cross-cutting concerns — safe-state watchdogs, the graceful-degradation
-//! ladder ([`DegradeLayer`]), counter sanitization, trace taps — are *not*
-//! baked into the governors. They are
-//! [`GovernorLayer`] decorators composed into a stack, and named stacks
-//! are built from one place by the [`PolicySpec`] registry.
+//! Cross-cutting concerns — safe-state fallback and graceful degradation
+//! (one state machine, [`DegradeLayer`], as a two-rung park or a four-rung
+//! ladder), counter sanitization, trace taps — are *not* baked into the
+//! governors. They are [`GovernorLayer`] decorators composed into a stack,
+//! and named stacks are built from one place by the [`PolicySpec`]
+//! registry.
 
 mod baseline;
 mod capped;
@@ -33,7 +34,6 @@ mod oracle;
 mod powertune;
 mod registry;
 mod stack;
-mod watchdog;
 
 pub use baseline::BaselineGovernor;
 pub use capped::CappedGovernor;
@@ -41,16 +41,15 @@ pub use coarse::{CoarseGrain, SensitivityBins};
 pub use fine::{FgState, FineGrain};
 pub use harmonia::{HarmoniaConfig, HarmoniaGovernor};
 pub use ladder::{
-    DegradeGovernor, DegradeLayer, Ladder, LadderConfig, LadderSignal, LadderTransition, Rung,
+    DegradeLayer, Ladder, LadderConfig, LadderSignal, LadderTransition, Release, Rung,
 };
 pub use oracle::{Ed2Objective, OracleGovernor, PowerAffine, PowerTable};
 pub use powertune::PowerTuneGovernor;
 pub use registry::{Policy, PolicyResources, PolicySpec, DEFAULT_CAP};
 pub use stack::{
     AnomalyCheck, BoxGovernor, CapCheck, CounterCheck, DecisionLedger, GovernorLayer, PolicyStats,
-    SanitizeLayer, TraceLayer, WatchdogLayer,
+    SanitizeLayer, TraceLayer,
 };
-pub use watchdog::{safe_state, Watchdog, WatchdogConfig, WatchdogTransition};
 
 use crate::telemetry::TraceHandle;
 use harmonia_sim::{CounterSample, KernelProfile};

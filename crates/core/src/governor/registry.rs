@@ -14,9 +14,18 @@
 //! | `oracle` | [`OracleGovernor`] (exhaustive ED² argmin) |
 //! | `powertune[@W]` | [`PowerTuneGovernor`] at the given TDP (stock 250 W) |
 //! | `capped[@W]` | [`CappedGovernor`] over `harmonia` (default 185 W) |
-//! | `hardened:harmonia` | sanitize → counter watchdog → `harmonia` |
-//! | `hardened:capped[@W]` | cap clamp → cap watchdog → counter watchdog → sanitize → `harmonia` |
+//! | `hardened:harmonia` | counter park → sanitize → `harmonia` |
+//! | `hardened:capped[@W]` | cap clamp → cap park → counter park → sanitize → `harmonia` |
 //! | `hardened:ladder[@W]` | cap clamp → sanitize → degradation ladder (`harmonia` → `cg` → `freq-only` → safe state) |
+//!
+//! Stacks are listed outermost first. A *park* is the two-rung
+//! ([`Rung::PARK`](super::Rung::PARK)) configuration of the degradation
+//! ladder ([`DegradeLayer::park`]): the counter park judges counter
+//! plausibility ([`CounterCheck`]), the cap park power-cap violations and
+//! post-clamp actuation ([`CapCheck`]). The two parks in `hardened:capped`
+//! keep separate streaks and holds. A parked layer still forwards
+//! measurements to the stack it wraps, so the sanitizer conditions every
+//! interval.
 //!
 //! Specs parse from their registry names (`"hardened:capped@185"
 //! .parse::<PolicySpec>()`), so CLI surfaces and config files share the
@@ -26,16 +35,16 @@
 //! the governor is boxed.
 //!
 //! Behaviour note: each built stack owns its hardening state (sanitizer
-//! history, watchdog backoff), exactly like the pre-stack code built fresh
-//! shims per run — build one `Policy` per run and the bytes match.
+//! history, park and ladder backoff) — build one `Policy` per run and the
+//! bytes match.
 
 use crate::governor::ladder::{DegradeLayer, LadderConfig};
 use crate::governor::stack::{
-    BoxGovernor, GovernorLayer, PolicyStats, SanitizeLayer, WatchdogLayer,
+    BoxGovernor, CapCheck, CounterCheck, GovernorLayer, PolicyStats, SanitizeLayer,
 };
 use crate::governor::{
     BaselineGovernor, CappedGovernor, HarmoniaConfig, HarmoniaGovernor, OracleGovernor,
-    PowerTuneGovernor, WatchdogConfig,
+    PowerTuneGovernor,
 };
 use crate::predictor::SensitivityPredictor;
 use crate::sanitize::SanitizerConfig;
@@ -144,14 +153,14 @@ pub enum PolicySpec {
     PowerTune(Watts),
     /// Harmonia under a power-cap clamp.
     Capped(Watts),
-    /// Sanitize + counter-watchdog hardened Harmonia.
+    /// Sanitize + counter-park hardened Harmonia.
     HardenedHarmonia,
-    /// The full hardened capped stack: cap clamp, cap watchdog (with
-    /// actuation check), counter watchdog, sanitizer, Harmonia.
+    /// The full hardened capped stack: cap clamp, cap park (with
+    /// actuation check), counter park, sanitizer, Harmonia.
     HardenedCapped(Watts),
-    /// Graceful degradation under a cap: instead of the watchdog's
-    /// all-or-nothing park, a ladder steps `harmonia` → `cg` →
-    /// `freq-only` → safe state and climbs back with hysteresis.
+    /// Graceful degradation under a cap: instead of an all-or-nothing
+    /// park, a ladder steps `harmonia` → `cg` → `freq-only` → safe state
+    /// and climbs back with hysteresis.
     HardenedLadder(Watts),
 }
 
@@ -217,25 +226,21 @@ impl PolicySpec {
             ),
             Self::HardenedHarmonia => hardened_core(res, &stats),
             Self::HardenedCapped(cap) => {
-                // The cap watchdog sits between the clamp and the counter
-                // watchdog: it judges post-clamp grants (actuation check
-                // against the shared ledger) while the counter watchdog
+                // The cap park sits between the clamp and the counter
+                // park: it judges post-clamp grants (actuation check
+                // against the shared ledger) while the counter park
                 // quarantines suspect samples before Harmonia learns from
                 // them.
                 let guarded = hardened_core(res, &stats);
-                let cap_layer = WatchdogLayer::cap(
-                    WatchdogConfig {
-                        check_actuation: true,
-                        safe: res.device.safe_state(),
-                        ..WatchdogConfig::default()
-                    },
-                    res.power,
-                    cap,
-                    &stats,
-                );
-                let ledger = cap_layer.ledger();
+                let cap_park = DegradeLayer::park(
+                    LadderConfig::park(),
+                    res.device.safe_state(),
+                    Box::new(CapCheck::new(res.power, cap, &stats, true)),
+                )
+                .with_stats(&stats);
+                let ledger = cap_park.ledger();
                 Box::new(
-                    CappedGovernor::new(cap_layer.layer(guarded), res.power, cap)
+                    CappedGovernor::new(cap_park.layer(guarded), res.power, cap)
                         .with_stats(&stats)
                         .with_ledger(ledger),
                 )
@@ -249,10 +254,10 @@ impl PolicySpec {
                 // check compares against what was actually granted.
                 let degrade = DegradeLayer::new(
                     LadderConfig::default(),
+                    res.device.safe_state(),
                     Box::new(harmonia(HarmoniaConfig::cg_only())),
                     Box::new(harmonia(HarmoniaConfig::freq_only())),
                 )
-                .with_safe_state(res.device.safe_state())
                 .with_stats(&stats);
                 let ledger = degrade.ledger();
                 let core = degrade.layer(Box::new(harmonia(HarmoniaConfig::default())));
@@ -271,7 +276,7 @@ impl PolicySpec {
     }
 }
 
-/// The shared hardened core: sanitize → counter watchdog → Harmonia.
+/// The shared hardened core: counter park → sanitize → Harmonia.
 fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGovernor<'a> {
     let grid = *res.device.grid();
     let sanitized = SanitizeLayer::new(SanitizerConfig::default())
@@ -281,10 +286,11 @@ fn hardened_core<'a>(res: &PolicyResources<'a>, stats: &PolicyStats) -> BoxGover
             res.predictor.clone(),
             HarmoniaConfig::default().on_grid(grid),
         )));
-    WatchdogLayer::counters(WatchdogConfig {
-        safe: res.device.safe_state(),
-        ..WatchdogConfig::default()
-    })
+    DegradeLayer::park(
+        LadderConfig::park(),
+        res.device.safe_state(),
+        Box::new(CounterCheck::new(false)),
+    )
     .with_stats(stats)
     .layer(sanitized)
 }
@@ -469,6 +475,8 @@ mod tests {
             }
             assert!(policy.stats.sanitizer_rejects() > 0);
             assert_eq!(policy.stats.fallback_engagements(), 1);
+            assert_eq!(policy.stats.rung_residency(), [3, 0, 0, 0]);
+            assert_eq!(governor.decide(&k, 3), res.device().safe_state());
         });
     }
 
@@ -483,8 +491,8 @@ mod tests {
                 valu_busy_pct: f64::NAN,
                 ..harmonia_sim::CounterSample::default()
             };
-            // Three anomalous intervals demote exactly one rung — the
-            // parked watchdog would already be pinned at the safe state.
+            // Three anomalous intervals demote exactly one rung — a park
+            // would already be pinned at the safe state.
             for i in 0..3 {
                 let cfg = governor.decide(&k, i);
                 governor.condition(&k, i, cfg, harmonia_types::Seconds(0.01), garbage);
@@ -496,7 +504,7 @@ mod tests {
             assert!(policy.stats.sanitizer_rejects() > 0);
             assert_ne!(
                 governor.decide(&k, 3),
-                crate::governor::safe_state(),
+                res.device().safe_state(),
                 "cg-only rung still governs"
             );
         });

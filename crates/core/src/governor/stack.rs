@@ -1,45 +1,40 @@
 //! Composable governor middleware: tower-style decorator layers over
 //! `dyn Governor`.
 //!
-//! Cross-cutting hardening used to live *inside* the governors — both
-//! [`HarmoniaGovernor`](super::HarmoniaGovernor) and
-//! [`CappedGovernor`](super::CappedGovernor) carried an `Option<Watchdog>`
-//! with copy-pasted transition handling, and counter sanitization was bolted
-//! onto the runtime. This module extracts those concerns into
-//! [`GovernorLayer`] decorators that wrap any [`Governor`] and compose
+//! Cross-cutting hardening does not live inside the governors. It is a set
+//! of [`GovernorLayer`] decorators that wrap any [`Governor`] and compose
 //! freely:
 //!
-//! * [`WatchdogLayer`] — the safe-state fallback state machine
-//!   ([`Watchdog`]), written once. What counts as anomalous is pluggable
-//!   via [`AnomalyCheck`]: [`CounterCheck`] judges counter plausibility and
-//!   throughput collapse, [`CapCheck`] judges power-cap violations.
+//! * [`DegradeLayer`](super::DegradeLayer) — the one safe-state /
+//!   degradation state machine, as a four-rung ladder or a two-rung park.
+//!   What counts as anomalous is pluggable via [`AnomalyCheck`]:
+//!   [`CounterCheck`] judges counter plausibility and throughput collapse,
+//!   [`CapCheck`] judges power-cap violations.
 //! * [`SanitizeLayer`] — per-kernel counter sanitization
 //!   ([`CounterSanitizer`]), applied through the
 //!   [`Governor::condition`] hook so the *conditioned* measurement feeds
-//!   the runtime's power accounting exactly where the old
-//!   `Runtime::with_sanitizer` stage ran.
+//!   the runtime's power accounting.
 //! * [`TraceLayer`] — tees every trace event the inner governor emits into
 //!   a side [`TraceHandle`] tap without stealing it from the primary sink.
 //!
 //! Layers are name-transparent (`name()` forwards inward) so report and
-//! trace bytes do not change when a stack replaces a hand-hardened
-//! governor. Named stacks are assembled by the
-//! [`PolicySpec`](super::PolicySpec) registry.
+//! trace bytes do not change when a stack replaces a plain governor.
+//! Named stacks are assembled by the [`PolicySpec`](super::PolicySpec)
+//! registry.
 //!
 //! Two pieces of shared state thread through a stack:
 //!
 //! * [`DecisionLedger`] — the per-kernel *granted* configuration, written
 //!   by whichever layer decided last (the outermost cap decorator
-//!   overwrites the watchdog's pre-clamp decision), read by actuation
-//!   checks.
+//!   overwrites a park's pre-clamp decision), read by actuation checks.
 //! * [`PolicyStats`] — cloneable atomic counters (cap violations,
-//!   violations while parked, fallback engagements, sanitizer rejects)
-//!   that stay readable after the stack is boxed into a `dyn Governor`.
+//!   violations while parked, safe-state entries, sanitizer rejects, rung
+//!   residency) that stay readable after the stack is boxed into a
+//!   `dyn Governor`.
 
-use crate::governor::watchdog::{Watchdog, WatchdogConfig, WatchdogTransition};
-use crate::governor::Governor;
+use crate::governor::{Governor, Rung};
 use crate::sanitize::{self, CounterSanitizer, SanitizerConfig};
-use crate::telemetry::{TraceEvent, TraceHandle};
+use crate::telemetry::TraceHandle;
 use harmonia_power::{Activity, PowerModel};
 use harmonia_sim::{CounterSample, KernelProfile};
 use harmonia_types::{HwConfig, Seconds, Watts};
@@ -96,15 +91,26 @@ impl DecisionLedger {
 /// `PolicyStats` share the same counters.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStats {
-    cap_violations: Arc<AtomicU64>,
-    violations_while_fallback: Arc<AtomicU64>,
-    fallback_engagements: Arc<AtomicU64>,
-    sanitizer_rejects: Arc<AtomicU64>,
-    /// Observation intervals spent on each degradation-ladder rung, indexed
-    /// by `Rung::index()` (full / cg-only / freq-only / safe-state).
-    rung_residency: Arc<[AtomicU64; 4]>,
-    rung_demotions: Arc<AtomicU64>,
-    rung_promotions: Arc<AtomicU64>,
+    counters: Arc<Counters>,
+}
+
+/// The counters behind a [`PolicyStats`] handle.
+#[derive(Debug, Default)]
+struct Counters {
+    cap_violations: AtomicU64,
+    violations_while_fallback: AtomicU64,
+    fallback_engagements: AtomicU64,
+    sanitizer_rejects: AtomicU64,
+    /// Observation intervals spent on each rung, indexed by
+    /// `Rung::index()` (full / cg-only / freq-only / safe-state).
+    rung_residency: [AtomicU64; 4],
+    rung_demotions: AtomicU64,
+    rung_promotions: AtomicU64,
+    /// Degradation layers sharing these counters; each takes the next
+    /// ordinal when it is layered.
+    degrade_layers: AtomicU64,
+    /// Degradation layers currently on the safe-state rung.
+    parked: AtomicU64,
 }
 
 impl PolicyStats {
@@ -114,74 +120,112 @@ impl PolicyStats {
     }
 
     /// Observed intervals whose projected card power exceeded the cap
-    /// (5% enforcement tolerance), fallback engaged or not.
+    /// (5% enforcement tolerance), parked or not.
     pub fn cap_violations(&self) -> u64 {
-        self.cap_violations.load(Ordering::Relaxed)
+        self.counters.cap_violations.load(Ordering::Relaxed)
     }
 
-    /// Cap violations observed while safe-state fallback was engaged.
+    /// Cap violations a cap park observed while it held the safe state,
+    /// outside sanitizer pressure.
     pub fn violations_while_fallback(&self) -> u64 {
-        self.violations_while_fallback.load(Ordering::Relaxed)
+        self.counters.violations_while_fallback.load(Ordering::Relaxed)
     }
 
-    /// Total safe-state fallback engagements across all watchdog layers.
+    /// Demotions into the safe-state rung, across every park and ladder.
     pub fn fallback_engagements(&self) -> u64 {
-        self.fallback_engagements.load(Ordering::Relaxed)
+        self.counters.fallback_engagements.load(Ordering::Relaxed)
     }
 
     /// Total counter readings rejected and substituted by sanitize layers.
     pub fn sanitizer_rejects(&self) -> u64 {
-        self.sanitizer_rejects.load(Ordering::Relaxed)
+        self.counters.sanitizer_rejects.load(Ordering::Relaxed)
     }
 
-    /// Observation intervals spent on each ladder rung, indexed by
-    /// `Rung::index()`. All zero for stacks without a
-    /// [`DegradeLayer`](super::DegradeLayer).
+    /// Observation intervals spent on each rung, indexed by
+    /// `Rung::index()`. Each interval counts once per stack, on the safe
+    /// state while any of its degradation layers is parked. All zero for
+    /// stacks without a [`DegradeLayer`](super::DegradeLayer).
     pub fn rung_residency(&self) -> [u64; 4] {
-        [
-            self.rung_residency[0].load(Ordering::Relaxed),
-            self.rung_residency[1].load(Ordering::Relaxed),
-            self.rung_residency[2].load(Ordering::Relaxed),
-            self.rung_residency[3].load(Ordering::Relaxed),
-        ]
+        self.counters.rung_residency.each_ref().map(|n| n.load(Ordering::Relaxed))
     }
 
-    /// Total ladder demotions (one rung down each).
+    /// Total demotions (one rung down each), parks included.
     pub fn rung_demotions(&self) -> u64 {
-        self.rung_demotions.load(Ordering::Relaxed)
+        self.counters.rung_demotions.load(Ordering::Relaxed)
     }
 
-    /// Total ladder promotions (one rung up each).
+    /// Total promotions (one rung up each), parks included.
     pub fn rung_promotions(&self) -> u64 {
-        self.rung_promotions.load(Ordering::Relaxed)
+        self.counters.rung_promotions.load(Ordering::Relaxed)
     }
 
     pub(crate) fn count_cap_violation(&self) {
-        self.cap_violations.fetch_add(1, Ordering::Relaxed);
+        self.counters.cap_violations.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn count_violation_while_fallback(&self) {
-        self.violations_while_fallback.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn count_fallback_engagement(&self) {
-        self.fallback_engagements.fetch_add(1, Ordering::Relaxed);
+        self.counters.violations_while_fallback.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn record_sanitizer_rejects(&self, total: u64) {
-        self.sanitizer_rejects.store(total, Ordering::Relaxed);
+        self.counters.sanitizer_rejects.store(total, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_rung_residency(&self, index: usize) {
-        self.rung_residency[index].fetch_add(1, Ordering::Relaxed);
+    /// Registers one more degradation layer on these counters and returns
+    /// its ordinal.
+    pub(crate) fn register_degrade_layer(&self) -> u64 {
+        self.counters.degrade_layers.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn count_rung_demotion(&self) {
-        self.rung_demotions.fetch_add(1, Ordering::Relaxed);
+    /// Counts one observed interval on `rung` for the layer with
+    /// `ordinal`. Stacks are layered inside-out, so the last-registered
+    /// layer is the outermost: it observes every interval, before any
+    /// inner layer moves, and is the only one that counts.
+    pub(crate) fn count_rung_residency(&self, ordinal: u64, rung: Rung) {
+        if ordinal + 1 != self.counters.degrade_layers.load(Ordering::Relaxed) {
+            return;
+        }
+        let rung = if self.counters.parked.load(Ordering::Relaxed) > 0 {
+            Rung::SafeState
+        } else {
+            rung
+        };
+        self.counters.rung_residency[rung.index()].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn count_rung_promotion(&self) {
-        self.rung_promotions.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn count_rung_demotion(&self, to: Rung) {
+        self.counters.rung_demotions.fetch_add(1, Ordering::Relaxed);
+        if to == Rung::SafeState {
+            self.counters.fallback_engagements.fetch_add(1, Ordering::Relaxed);
+            self.counters.parked.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn count_rung_promotion(&self, from: Rung) {
+        self.counters.rung_promotions.fetch_add(1, Ordering::Relaxed);
+        if from == Rung::SafeState {
+            self.counters.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Sanitizer-pressure detector: whether the shared sanitizer reject total
+/// rose since the previous observation. Under pressure the sample in hand
+/// is a substituted stand-in recorded at an *earlier* operating point, so
+/// it says little about this interval.
+#[derive(Debug, Default)]
+pub(crate) struct SanitizerPressure {
+    last_rejects: u64,
+}
+
+impl SanitizerPressure {
+    /// Whether `stats` recorded new rejects since the previous call. Call
+    /// it once per observed interval.
+    pub(crate) fn under_pressure(&mut self, stats: &PolicyStats) -> bool {
+        let rejects = stats.sanitizer_rejects();
+        let rising = rejects > self.last_rejects;
+        self.last_rejects = rejects;
+        rising
     }
 }
 
@@ -189,49 +233,70 @@ impl PolicyStats {
 // Anomaly checks
 // ---------------------------------------------------------------------------
 
-/// The pluggable "what counts as anomalous" half of a [`WatchdogLayer`].
-/// The layer owns the [`Watchdog`] state machine and transition telemetry;
-/// the check owns the domain judgement.
+/// Throughput-collapse ratio: an interval whose VALU rate falls below
+/// `COLLAPSE_RATIO × peak` clean rate is anomalous.
+const COLLAPSE_RATIO: f64 = 0.02;
+
+/// The pluggable "what counts as anomalous" half of a
+/// [`DegradeLayer`](super::DegradeLayer). The layer owns the ladder state
+/// machine and transition telemetry; the check owns the domain judgement.
 pub trait AnomalyCheck {
     /// Judges one observation interval. Returns the anomaly label to report
-    /// via [`TraceEvent::FaultDetected`], or `None` for a clean interval.
+    /// via `TraceEvent::FaultDetected`, or `None` for a clean interval.
     ///
     /// `granted` is the ledger's post-decision configuration for the kernel
-    /// (for actuation-mismatch checks) and `engaged_before` whether
-    /// fallback was already engaged when the interval was observed —
-    /// checks that learn from clean intervals (peak-rate tracking) or gate
-    /// on actuation must respect it.
+    /// (for actuation-mismatch checks) and `parked` whether the layer sat
+    /// on the safe state when the interval was observed — checks that
+    /// learn from clean intervals (peak-rate tracking) or gate on
+    /// actuation must respect it.
     fn verdict(
         &mut self,
         kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
         granted: Option<HwConfig>,
-        engaged_before: bool,
+        parked: bool,
     ) -> Option<&'static str>;
 
-    /// Whether anomalous (or fallback-tainted) samples must be withheld
-    /// from the inner governor's learning loops. Counter anomalies
-    /// quarantine — the sample is garbage or was produced under the pinned
-    /// safe state; cap violations do not — the inner policy must keep
-    /// learning from real counters to steer back under the envelope.
+    /// Whether anomalous (or parked) samples must be withheld from the
+    /// inner governor's learning loops. Counter anomalies quarantine — the
+    /// sample is garbage or was produced under the pinned safe state; cap
+    /// violations do not — the inner policy must keep learning from real
+    /// counters to steer back under the envelope.
     fn quarantines(&self) -> bool;
+}
+
+/// Whether the granted-vs-ran actuation check fails: `cfg` ran while the
+/// ledger granted something else. Parked intervals are exempt.
+fn actuation_mismatch(
+    armed: bool,
+    granted: Option<HwConfig>,
+    cfg: HwConfig,
+    parked: bool,
+) -> bool {
+    armed && !parked && granted.is_some_and(|g| g != cfg)
 }
 
 /// Counter-plausibility anomaly check: implausible or dead samples and
 /// throughput collapse relative to the kernel's best clean rate, plus an
 /// optional granted-vs-ran actuation check. Quarantines.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CounterCheck {
+    check_actuation: bool,
     /// Best clean VALU rate per kernel, for the collapse check.
     peak_rate: HashMap<String, f64>,
 }
 
 impl CounterCheck {
-    /// A check with no throughput history yet.
-    pub fn new() -> Self {
-        Self::default()
+    /// A check with no throughput history yet. `check_actuation` arms the
+    /// actuation check; leave it off for governors whose decisions are
+    /// legitimately overridden downstream (e.g. wrapped by a power-cap
+    /// decorator that does not share its ledger).
+    pub fn new(check_actuation: bool) -> Self {
+        Self {
+            check_actuation,
+            peak_rate: HashMap::new(),
+        }
     }
 }
 
@@ -241,9 +306,8 @@ impl AnomalyCheck for CounterCheck {
         kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
         granted: Option<HwConfig>,
-        engaged_before: bool,
+        parked: bool,
     ) -> Option<&'static str> {
         let rate_now = if counters.duration.value() > 0.0 {
             counters.valu_insts as f64 / counters.duration.value()
@@ -255,20 +319,14 @@ impl AnomalyCheck for CounterCheck {
             Some("implausible counters")
         } else if sanitize::dead_sample(counters) {
             Some("dead counter sample")
-        } else if config.collapse_ratio > 0.0
-            && peak > 0.0
-            && rate_now < config.collapse_ratio * peak
-        {
+        } else if peak > 0.0 && rate_now < COLLAPSE_RATIO * peak {
             Some("throughput collapse")
-        } else if config.check_actuation
-            && !engaged_before
-            && granted.is_some_and(|g| g != cfg)
-        {
+        } else if actuation_mismatch(self.check_actuation, granted, cfg, parked) {
             Some("actuation mismatch")
         } else {
             None
         };
-        if what.is_none() && !engaged_before && rate_now.is_finite() && rate_now > peak {
+        if what.is_none() && !parked && rate_now.is_finite() && rate_now > peak {
             self.peak_rate.insert(kernel.name.clone(), rate_now);
         }
         what
@@ -286,14 +344,28 @@ impl AnomalyCheck for CounterCheck {
 pub struct CapCheck<'a> {
     power: &'a PowerModel,
     cap: Watts,
+    check_actuation: bool,
     stats: PolicyStats,
+    pressure: SanitizerPressure,
 }
 
 impl<'a> CapCheck<'a> {
     /// A check enforcing `cap` under `power`'s projection, accounting
-    /// violations-while-parked into `stats`.
-    pub fn new(power: &'a PowerModel, cap: Watts, stats: PolicyStats) -> Self {
-        Self { power, cap, stats }
+    /// violations-while-parked into `stats`. `check_actuation` arms the
+    /// actuation check.
+    pub fn new(
+        power: &'a PowerModel,
+        cap: Watts,
+        stats: &PolicyStats,
+        check_actuation: bool,
+    ) -> Self {
+        Self {
+            power,
+            cap,
+            check_actuation,
+            stats: stats.clone(),
+            pressure: SanitizerPressure::default(),
+        }
     }
 }
 
@@ -303,27 +375,29 @@ impl AnomalyCheck for CapCheck<'_> {
         _kernel: &KernelProfile,
         cfg: HwConfig,
         counters: &CounterSample,
-        config: &WatchdogConfig,
         granted: Option<HwConfig>,
-        engaged_before: bool,
+        parked: bool,
     ) -> Option<&'static str> {
         let activity = Activity {
             valu_activity: counters.valu_activity(),
             dram_bytes_per_sec: counters.dram_bytes_per_sec(),
             dram_traffic_fraction: counters.ic_activity,
         };
+        // Like the cap decorator's accounting, a parked violation only
+        // counts on a measured interval: under sanitizer pressure the
+        // projection runs a stand-in sample from an earlier operating
+        // point at the safe state and manufactures phantom violations. The
+        // verdict itself still counts toward the park's streak.
+        let pressure = self.pressure.under_pressure(&self.stats);
         // NaN projections (glitched telemetry) fail the comparison and are
-        // not counted — the counter watchdog catches implausible samples.
+        // not counted — the counter park catches implausible samples.
         let over = self.power.card_pwr(cfg, &activity).value() > self.cap.value() * 1.05;
         if over {
-            if engaged_before {
+            if parked && !pressure {
                 self.stats.count_violation_while_fallback();
             }
             Some("cap violation")
-        } else if config.check_actuation
-            && !engaged_before
-            && granted.is_some_and(|g| g != cfg)
-        {
+        } else if actuation_mismatch(self.check_actuation, granted, cfg, parked) {
             Some("actuation mismatch")
         } else {
             None
@@ -332,174 +406,6 @@ impl AnomalyCheck for CapCheck<'_> {
 
     fn quarantines(&self) -> bool {
         false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// WatchdogLayer
-// ---------------------------------------------------------------------------
-
-/// Blueprint for the safe-state fallback decorator: one [`Watchdog`] state
-/// machine plus a pluggable [`AnomalyCheck`]. While engaged, decisions pin
-/// to the safe state and the inner governor's `decide` is bypassed;
-/// quarantining checks also withhold tainted samples from the inner
-/// governor's learning loops.
-pub struct WatchdogLayer<'a> {
-    config: WatchdogConfig,
-    check: Box<dyn AnomalyCheck + 'a>,
-    ledger: DecisionLedger,
-    stats: PolicyStats,
-}
-
-impl<'a> WatchdogLayer<'a> {
-    /// A watchdog judging anomalies with `check`.
-    pub fn with_check(config: WatchdogConfig, check: Box<dyn AnomalyCheck + 'a>) -> Self {
-        Self {
-            config,
-            check,
-            ledger: DecisionLedger::new(),
-            stats: PolicyStats::new(),
-        }
-    }
-
-    /// The counter-plausibility watchdog ([`CounterCheck`]): implausible
-    /// counters, dead samples, and throughput collapses count as anomalous
-    /// intervals, and suspect samples never reach the inner learning loops.
-    pub fn counters(config: WatchdogConfig) -> Self {
-        Self::with_check(config, Box::new(CounterCheck::new()))
-    }
-
-    /// The power-envelope watchdog ([`CapCheck`]): cap-violation streaks
-    /// and granted-vs-ran actuation mismatches count as anomalous
-    /// intervals; the inner governor still observes every sample.
-    pub fn cap(config: WatchdogConfig, power: &'a PowerModel, cap: Watts, stats: &PolicyStats) -> Self {
-        Self::with_check(config, Box::new(CapCheck::new(power, cap, stats.clone())))
-            .with_stats(stats)
-    }
-
-    /// Shares `stats` so fallback engagements are counted into an external
-    /// handle (registry-built stacks report through
-    /// [`Policy::stats`](super::Policy)).
-    pub fn with_stats(mut self, stats: &PolicyStats) -> Self {
-        self.stats = stats.clone();
-        self
-    }
-
-    /// The ledger this layer's decisions are recorded in. Hand it to an
-    /// outer [`CappedGovernor`](super::CappedGovernor) (via `with_ledger`)
-    /// so the post-clamp grant overwrites the pre-clamp decision and the
-    /// actuation check compares against what was actually granted.
-    pub fn ledger(&self) -> DecisionLedger {
-        self.ledger.clone()
-    }
-}
-
-impl<'a> GovernorLayer<'a> for WatchdogLayer<'a> {
-    fn layer(self, inner: BoxGovernor<'a>) -> BoxGovernor<'a> {
-        Box::new(WatchdogGovernor {
-            inner,
-            watchdog: Watchdog::new(self.config),
-            check: self.check,
-            ledger: self.ledger,
-            stats: self.stats,
-            trace: TraceHandle::disabled(),
-        })
-    }
-}
-
-/// The decorator produced by [`WatchdogLayer`].
-struct WatchdogGovernor<'a> {
-    inner: BoxGovernor<'a>,
-    watchdog: Watchdog,
-    check: Box<dyn AnomalyCheck + 'a>,
-    ledger: DecisionLedger,
-    stats: PolicyStats,
-    trace: TraceHandle,
-}
-
-impl Governor for WatchdogGovernor<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace.clone();
-        self.inner.set_trace(trace);
-    }
-
-    fn decide(&mut self, kernel: &KernelProfile, iteration: u64) -> HwConfig {
-        // While fallback is engaged the inner policy is bypassed entirely.
-        let cfg = if self.watchdog.engaged() {
-            self.watchdog.safe()
-        } else {
-            self.inner.decide(kernel, iteration)
-        };
-        self.ledger.grant(&kernel.name, cfg);
-        cfg
-    }
-
-    fn condition(
-        &mut self,
-        kernel: &KernelProfile,
-        iteration: u64,
-        cfg: HwConfig,
-        time: Seconds,
-        counters: CounterSample,
-    ) -> (Seconds, CounterSample) {
-        self.inner.condition(kernel, iteration, cfg, time, counters)
-    }
-
-    fn observe(
-        &mut self,
-        kernel: &KernelProfile,
-        iteration: u64,
-        cfg: HwConfig,
-        counters: &CounterSample,
-    ) {
-        let engaged_before = self.watchdog.engaged();
-        let granted = self.ledger.granted(&kernel.name);
-        let what = self.check.verdict(
-            kernel,
-            cfg,
-            counters,
-            self.watchdog.config(),
-            granted,
-            engaged_before,
-        );
-        if let Some(what) = what {
-            self.trace.emit(|| TraceEvent::FaultDetected {
-                kernel: kernel.name.clone(),
-                iteration,
-                what: what.to_string(),
-            });
-        }
-        match self.watchdog.tick(what.is_some()) {
-            WatchdogTransition::Engaged => {
-                self.stats.count_fallback_engagement();
-                let safe = self.watchdog.safe();
-                let hold = self.watchdog.hold();
-                self.trace.emit(|| TraceEvent::FallbackEngaged {
-                    kernel: kernel.name.clone(),
-                    iteration,
-                    safe: safe.into(),
-                    hold,
-                });
-            }
-            WatchdogTransition::Released => {
-                self.trace.emit(|| TraceEvent::FallbackReleased {
-                    kernel: kernel.name.clone(),
-                    iteration,
-                });
-            }
-            WatchdogTransition::None => {}
-        }
-        // Quarantine: an anomalous sample is garbage, and one observed
-        // while (or just before) fallback was engaged was produced under
-        // the pinned safe state — neither may reach the learning loops.
-        if self.check.quarantines() && (engaged_before || what.is_some()) {
-            return;
-        }
-        self.inner.observe(kernel, iteration, cfg, counters);
     }
 }
 
@@ -720,32 +626,41 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_layer_engages_after_threshold_and_pins_safe_state() {
+    fn cap_check_counts_parked_violations_only_on_measured_intervals() {
+        let power = PowerModel::hd7970();
         let stats = PolicyStats::new();
-        let mut g = WatchdogLayer::counters(WatchdogConfig::default())
-            .with_stats(&stats)
-            .layer(Box::new(BaselineGovernor::new()));
+        let mut check = CapCheck::new(&power, Watts(50.0), &stats, false);
         let k = kernel();
         let boost = HwConfig::max_hd7970();
-        for i in 0..3 {
-            assert_eq!(g.decide(&k, i), boost);
-            g.observe(&k, i, boost, &garbage());
-        }
-        assert_eq!(stats.fallback_engagements(), 1);
-        assert_eq!(g.decide(&k, 3), crate::governor::safe_state());
-        // base_hold = 4: the hold runs out after four engaged intervals.
-        for i in 3..7 {
-            let cfg = g.decide(&k, i);
-            g.observe(&k, i, cfg, &clean());
-        }
-        assert_eq!(g.decide(&k, 7), boost, "released after the hold expires");
+        assert_eq!(check.verdict(&k, boost, &clean(), None, true), Some("cap violation"));
+        assert_eq!(stats.violations_while_fallback(), 1);
+        // New sanitizer rejects: the sample is a stand-in, so the verdict
+        // stands but the parked violation is not counted.
+        stats.record_sanitizer_rejects(2);
+        assert_eq!(check.verdict(&k, boost, &clean(), None, true), Some("cap violation"));
+        assert_eq!(stats.violations_while_fallback(), 1);
+        // Quiet again: counted.
+        assert_eq!(check.verdict(&k, boost, &clean(), None, true), Some("cap violation"));
+        assert_eq!(stats.violations_while_fallback(), 2);
+        // Unparked violations never count as parked ones.
+        check.verdict(&k, boost, &clean(), None, false);
+        assert_eq!(stats.violations_while_fallback(), 2);
     }
 
     #[test]
-    fn watchdog_layer_is_name_transparent() {
-        let g = WatchdogLayer::counters(WatchdogConfig::default())
-            .layer(Box::new(BaselineGovernor::new()));
-        assert_eq!(g.name(), "baseline");
+    fn actuation_check_compares_the_grant_unless_parked() {
+        let mut check = CounterCheck::new(true);
+        let k = kernel();
+        let boost = HwConfig::max_hd7970();
+        let other = HwConfig::min_hd7970();
+        assert_eq!(check.verdict(&k, boost, &clean(), Some(boost), false), None);
+        assert_eq!(
+            check.verdict(&k, boost, &clean(), Some(other), false),
+            Some("actuation mismatch")
+        );
+        assert_eq!(check.verdict(&k, boost, &clean(), Some(other), true), None);
+        let mut unarmed = CounterCheck::new(false);
+        assert_eq!(unarmed.verdict(&k, boost, &clean(), Some(other), false), None);
     }
 
     #[test]
@@ -782,8 +697,8 @@ mod tests {
         let boost = HwConfig::max_hd7970();
         ledger.grant("k", boost);
         assert_eq!(ledger.granted("k"), Some(boost));
-        let safe = crate::governor::safe_state();
-        ledger.grant("k", safe);
-        assert_eq!(ledger.granted("k"), Some(safe));
+        let min = HwConfig::min_hd7970();
+        ledger.grant("k", min);
+        assert_eq!(ledger.granted("k"), Some(min));
     }
 }

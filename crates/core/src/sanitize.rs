@@ -31,7 +31,7 @@
 //!    destination: after [`SanitizerConfig::hold_bound`] *consecutive*
 //!    wholesale holds the sanitizer stops serving stale counters and
 //!    escalates, passing a recognizably dead (but finite and in-range)
-//!    sample downstream so the watchdog / degradation ladder trips instead
+//!    sample downstream so the park / degradation ladder trips instead
 //!    of being masked forever by a permanently stuck counter block. Each
 //!    escalation emits [`TraceEvent::SanitizerEscalated`].
 //!
@@ -73,7 +73,7 @@ pub struct SanitizerConfig {
     /// EWMA smoothing factor for the running mean/deviation.
     pub ewma_alpha: f64,
     /// Consecutive wholesale last-good holds tolerated before the
-    /// sanitizer escalates (serves a dead sample the watchdog can see)
+    /// sanitizer escalates (serves a dead sample a park can see)
     /// instead of masking a stuck counter block forever. `0` disables the
     /// bound (the pre-escalation behaviour).
     pub hold_bound: u32,
@@ -94,7 +94,7 @@ impl Default for SanitizerConfig {
 
 /// Whether a sample passes the *static* plausibility checks alone: every
 /// float field finite and inside its physical range. Shared with the
-/// governor watchdogs, which must judge anomalies without carrying the
+/// parks and ladders, which must judge anomalies without carrying the
 /// sanitizer's per-kernel history.
 pub fn counters_plausible(c: &CounterSample) -> bool {
     let pct_ok = |v: f64| v.is_finite() && (0.0..=100.0).contains(&v);
@@ -455,7 +455,7 @@ impl<'a> CounterSanitizer<'a> {
                     // The counter block has been wrong for `held` straight
                     // samples: stop bridging. Serve a finite, in-range but
                     // recognizably dead sample so downstream anomaly checks
-                    // ([`dead_sample`]) trip and the watchdog / ladder takes
+                    // ([`dead_sample`]) trip and the park / ladder takes
                     // over instead of learning from fiction.
                     escalated = true;
                     c.valu_insts = 0;
@@ -733,7 +733,7 @@ mod tests {
             assert!(!dead_sample(&c), "sample {i} bridged from last-good");
         }
         // ...then the sanitizer stops masking: the substitute is finite and
-        // in-range but recognizably dead, so the watchdog can trip.
+        // in-range but recognizably dead, so a park can trip.
         let (_, c) = s.sanitize("k", 6, cfg, Seconds(0.01), dead(), &trace);
         assert!(dead_sample(&c), "escalated sample reads as dead");
         assert!(counters_plausible(&c), "escalated sample stays in range");

@@ -31,6 +31,7 @@
 //! [`OracleGovernor`]: crate::governor::OracleGovernor
 
 use crate::binning::SensitivityBin;
+use crate::governor::Rung;
 use crate::metrics::{Residency, RunReport};
 use harmonia_sim::CounterSample;
 use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig, Seconds, Tunable};
@@ -299,7 +300,8 @@ pub enum TraceEvent {
         /// The substituted value (always finite).
         substitute: f64,
     },
-    /// A governor watchdog judged this observation interval anomalous.
+    /// A park's or ladder's check judged this observation interval
+    /// anomalous.
     FaultDetected {
         /// Kernel name.
         kernel: String,
@@ -308,28 +310,9 @@ pub enum TraceEvent {
         /// What looked wrong.
         what: String,
     },
-    /// A watchdog's anomaly streak crossed its threshold: the governor fell
-    /// back to the safe PowerTune-equivalent state.
-    FallbackEngaged {
-        /// Kernel whose observation tripped the watchdog.
-        kernel: String,
-        /// Outer application iteration.
-        iteration: u64,
-        /// The safe state decisions are pinned to.
-        safe: ConfigPoint,
-        /// Intervals the fallback will hold before re-engagement is tried.
-        hold: u64,
-    },
-    /// The watchdog's hold expired: normal governing re-engages (with the
-    /// next hold doubled, up to the backoff cap).
-    FallbackReleased {
-        /// Kernel observed when the hold expired.
-        kernel: String,
-        /// Outer application iteration.
-        iteration: u64,
-    },
-    /// The degradation ladder moved between rungs (demotion on sustained
-    /// anomalies, promotion after a clean hold).
+    /// A park or degradation ladder moved between rungs (demotion on
+    /// sustained anomalies, promotion after a served hold). Shifts into and
+    /// out of `safe-state` engage and release the safe-state fallback.
     RungShift {
         /// Kernel whose observation drove the shift.
         kernel: String,
@@ -379,7 +362,7 @@ pub enum TraceEvent {
     },
     /// The counter sanitizer escalated: it served held (last-good) samples
     /// for too many consecutive invocations and stopped masking, so the
-    /// watchdog sees the failed reads.
+    /// park or ladder sees the failed reads.
     SanitizerEscalated {
         /// Kernel name.
         kernel: String,
@@ -444,8 +427,6 @@ impl TraceEvent {
             TraceEvent::FaultInjected { .. } => "FaultInjected",
             TraceEvent::SanitizerReject { .. } => "SanitizerReject",
             TraceEvent::FaultDetected { .. } => "FaultDetected",
-            TraceEvent::FallbackEngaged { .. } => "FallbackEngaged",
-            TraceEvent::FallbackReleased { .. } => "FallbackReleased",
             TraceEvent::RungShift { .. } => "RungShift",
             TraceEvent::ActuationAttempt { .. } => "ActuationAttempt",
             TraceEvent::ActuationResolved { .. } => "ActuationResolved",
@@ -475,8 +456,6 @@ impl TraceEvent {
             | TraceEvent::FaultInjected { kernel, .. }
             | TraceEvent::SanitizerReject { kernel, .. }
             | TraceEvent::FaultDetected { kernel, .. }
-            | TraceEvent::FallbackEngaged { kernel, .. }
-            | TraceEvent::FallbackReleased { kernel, .. }
             | TraceEvent::RungShift { kernel, .. }
             | TraceEvent::ActuationAttempt { kernel, .. }
             | TraceEvent::ActuationResolved { kernel, .. }
@@ -504,8 +483,6 @@ impl TraceEvent {
             | TraceEvent::FaultInjected { iteration, .. }
             | TraceEvent::SanitizerReject { iteration, .. }
             | TraceEvent::FaultDetected { iteration, .. }
-            | TraceEvent::FallbackEngaged { iteration, .. }
-            | TraceEvent::FallbackReleased { iteration, .. }
             | TraceEvent::RungShift { iteration, .. }
             | TraceEvent::ActuationAttempt { iteration, .. }
             | TraceEvent::ActuationResolved { iteration, .. }
@@ -799,10 +776,6 @@ pub fn to_csv(events: &[TraceEvent]) -> String {
                 (None, format!("field={field} value={value} substitute={substitute}"))
             }
             TraceEvent::FaultDetected { what, .. } => (None, format!("what={what}")),
-            TraceEvent::FallbackEngaged { safe, hold, .. } => {
-                (Some(*safe), format!("hold={hold}"))
-            }
-            TraceEvent::FallbackReleased { .. } => (None, String::new()),
             TraceEvent::RungShift { from, to, hold, .. } => {
                 (None, format!("from={from} to={to} hold={hold}"))
             }
@@ -918,11 +891,11 @@ pub struct TraceSummary {
     pub faults_injected: u64,
     /// Counter fields rejected (and substituted) by the sanitizer.
     pub sanitizer_rejects: u64,
-    /// Anomalous intervals flagged by governor watchdogs.
+    /// Anomalous intervals flagged by parks and ladders.
     pub faults_detected: u64,
-    /// Safe-state fallback engagements.
+    /// Safe-state fallback engagements (rung shifts into `safe-state`).
     pub fallbacks_engaged: u64,
-    /// Safe-state fallback releases.
+    /// Safe-state fallback releases (rung shifts out of `safe-state`).
     pub fallbacks_released: u64,
     /// Degradation-ladder rung shifts (demotions + promotions).
     pub rung_shifts: u64,
@@ -933,8 +906,9 @@ pub struct TraceSummary {
     pub actuations_resolved: u64,
     /// Sanitizer hold-bound escalations (stale-sample masking stopped).
     pub sanitizer_escalations: u64,
-    /// Kernel invocations completed while a fallback was engaged
-    /// (safe-state residency in invocation counts).
+    /// Kernel invocations completed while any park or ladder was on the
+    /// safe state (safe-state residency in invocation counts; overlapping
+    /// parks count once).
     pub fallback_invocations: u64,
     /// Virtual-DAQ power samples.
     pub power_samples: u64,
@@ -962,7 +936,9 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
         ..TraceSummary::default()
     };
     let mut last_cfg: HashMap<&str, ConfigPoint> = HashMap::new();
-    let mut fallback_active = false;
+    // Parks and ladders currently on the safe state: nested parks
+    // overlap, and the fallback holds until the last one releases.
+    let mut parked = 0u64;
     for ev in events {
         match ev {
             TraceEvent::KernelStart { kernel, iteration, cfg } => {
@@ -975,7 +951,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
             }
             TraceEvent::KernelEnd { cfg, time_s, .. } => {
                 s.invocations += 1;
-                if fallback_active {
+                if parked > 0 {
                     s.fallback_invocations += 1;
                 }
                 if let Some(hw) = cfg.to_hw() {
@@ -996,15 +972,17 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
             TraceEvent::FaultInjected { .. } => s.faults_injected += 1,
             TraceEvent::SanitizerReject { .. } => s.sanitizer_rejects += 1,
             TraceEvent::FaultDetected { .. } => s.faults_detected += 1,
-            TraceEvent::FallbackEngaged { .. } => {
-                s.fallbacks_engaged += 1;
-                fallback_active = true;
+            TraceEvent::RungShift { from, to, .. } => {
+                s.rung_shifts += 1;
+                let safe = Rung::SafeState.label();
+                if to == safe {
+                    s.fallbacks_engaged += 1;
+                    parked += 1;
+                } else if from == safe {
+                    s.fallbacks_released += 1;
+                    parked = parked.saturating_sub(1);
+                }
             }
-            TraceEvent::FallbackReleased { .. } => {
-                s.fallbacks_released += 1;
-                fallback_active = false;
-            }
-            TraceEvent::RungShift { .. } => s.rung_shifts += 1,
             TraceEvent::ActuationAttempt { .. } => s.actuation_attempts += 1,
             TraceEvent::ActuationResolved { .. } => s.actuations_resolved += 1,
             TraceEvent::SanitizerEscalated { .. } => s.sanitizer_escalations += 1,
@@ -1218,6 +1196,37 @@ mod tests {
         assert_eq!(s.settle_iteration, 1);
         assert!((s.residency.fraction(Tunable::MemFreq, 775) - 0.75).abs() < 1e-12);
         assert!((s.residency.fraction(Tunable::MemFreq, 1375) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overlapping_parks_hold_the_fallback_until_the_last_release() {
+        let shift = |iteration: u64, from: &str, to: &str| TraceEvent::RungShift {
+            kernel: "k".into(),
+            iteration,
+            from: from.into(),
+            to: to.into(),
+            hold: 4,
+        };
+        let safe = pt(32, 500, 1375);
+        let events = vec![
+            end("k", 0, pt(32, 1000, 1375), 1.0),
+            shift(0, "full", "safe-state"), // counter park engages
+            end("k", 1, safe, 1.0),
+            shift(1, "full", "safe-state"), // cap park engages too
+            end("k", 2, safe, 1.0),
+            shift(2, "safe-state", "full"), // counter park releases...
+            end("k", 3, safe, 1.0),         // ...the cap park still holds
+            shift(3, "safe-state", "full"),
+            end("k", 4, pt(32, 1000, 1375), 1.0),
+            // Ladder shifts above the bottom rung are not fallbacks.
+            shift(4, "full", "cg-only"),
+            end("k", 5, pt(32, 1000, 1375), 1.0),
+        ];
+        let s = summarize(&events);
+        assert_eq!(s.invocations, 6);
+        assert_eq!(s.fallback_invocations, 3);
+        assert_eq!((s.fallbacks_engaged, s.fallbacks_released), (2, 2));
+        assert_eq!(s.rung_shifts, 5);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! and the retry/backoff actuator engaged. Each case is then checked
 //! against four invariants:
 //!
-//! 1. **cap-while-parked** — zero cap violations while safe-state fallback
-//!    (or the ladder's bottom rung) was engaged;
+//! 1. **cap-while-parked** — zero cap violations (on measured intervals,
+//!    outside sanitizer pressure) while the cap park held the safe state;
 //! 2. **grid-valid** — every configuration in the recorded session
 //!    (decisions, actuation outcomes, samples) maps back onto the hardware
 //!    grid;
@@ -34,8 +34,8 @@ use harmonia::runtime::RetryPolicy;
 use harmonia_rr::SessionEvent;
 use harmonia_sim::{FaultKind, FaultPlan, FaultSpec};
 
-/// The policies every generated plan runs under: the parked-watchdog
-/// hardened stack and the graceful-degradation ladder, both at the chaos
+/// The policies every generated plan runs under: the parked hardened
+/// stack and the graceful-degradation ladder, both at the chaos
 /// cap.
 pub fn campaign_policies() -> [PolicySpec; 2] {
     [

@@ -10,8 +10,8 @@
 //! * **unhardened** — the registry's `capped@185` stack, as the
 //!   evaluation pipeline runs it;
 //! * **hardened** — the registry's `hardened:capped@185` stack: the same
-//!   governor with the counter sanitizer enabled and the safe-state
-//!   fallback watchdog armed on both the counter and the cap path;
+//!   governor with the counter sanitizer enabled and a safe-state park
+//!   armed on both the counter and the cap path;
 //! * **ladder** — the registry's `hardened:ladder@185` stack: instead of
 //!   an all-or-nothing park, anomalies step the policy down a
 //!   graceful-degradation ladder (full Harmonia → CG-only → frequency-only
@@ -24,7 +24,7 @@
 
 use crate::context::Context;
 use crate::report::Report;
-use harmonia::governor::{PolicyResources, PolicySpec};
+use harmonia::governor::{PolicyResources, PolicySpec, Rung};
 use harmonia::runtime::{RetryPolicy, Runtime};
 use harmonia::telemetry::{self, TraceHandle};
 use harmonia_sim::{FaultKind, FaultPlan, FaultSpec, FaultyModel};
@@ -47,24 +47,26 @@ pub struct ChaosOutcome {
     /// Intervals whose projected card power exceeded the cap (5%
     /// tolerance).
     pub cap_violations: u64,
-    /// Cap violations observed while fallback was engaged.
+    /// Cap violations observed while the cap park was engaged.
     pub violations_while_fallback: u64,
     /// Kernel invocations executed.
     pub invocations: u64,
-    /// Invocations that ran while fallback was engaged.
+    /// Invocations that ran while any park or the ladder's bottom rung
+    /// held the safe state.
     pub fallback_invocations: u64,
     /// Counter samples (or fields) the sanitizer rejected.
     pub sanitizer_rejects: u64,
-    /// Anomalous intervals the watchdogs flagged.
+    /// Anomalous intervals the parks or the ladder flagged.
     pub faults_detected: u64,
     /// Actuator faults the runtime shim injected.
     pub faults_injected: u64,
     /// Invocations spent on each degradation rung (full, cg-only,
-    /// freq-only, safe-state); all zero for non-ladder stacks.
+    /// freq-only, safe-state); all zero for stacks without a park or
+    /// ladder.
     pub rung_residency: [u64; 4],
-    /// Ladder demotions (rung steps down); 0 for non-ladder stacks.
+    /// Rung steps down, park engagements included.
     pub rung_demotions: u64,
-    /// Ladder promotions (rung steps back up); 0 for non-ladder stacks.
+    /// Rung steps back up, park releases included.
     pub rung_promotions: u64,
 }
 
@@ -86,7 +88,7 @@ pub struct ChaosCell {
     pub fault: String,
     /// The stock pipeline's outcome.
     pub unhardened: ChaosOutcome,
-    /// The hardened (parked-watchdog) pipeline's outcome.
+    /// The hardened (parked) pipeline's outcome.
     pub hardened: ChaosOutcome,
     /// The degradation-ladder pipeline's outcome.
     pub ladder: ChaosOutcome,
@@ -177,14 +179,14 @@ impl ChaosRun {
             .fold(0.0, f64::max)
     }
 
-    /// Whether the ladder degrades no worse than the parked-watchdog
-    /// hardened stack across the fault matrix.
+    /// Whether the ladder degrades no worse than the parked hardened
+    /// stack across the fault matrix.
     pub fn ladder_not_worse(&self) -> bool {
         self.ladder_degradation() <= self.hardened_degradation() * 1.0001
     }
 
     /// Whether the ladder spends strictly less time in the safe state than
-    /// the parked-watchdog stack — the point of degrading stepwise.
+    /// the parked stack — the point of degrading stepwise.
     pub fn ladder_lower_residency(&self) -> bool {
         let (ladder, parked) = (self.ladder_max_safe_residency(), self.max_safe_residency());
         ladder < parked || (parked == 0.0 && ladder == 0.0)
@@ -269,16 +271,17 @@ fn run_pipeline(ctx: &Context, app: &Application, plan: &FaultPlan, spec: Policy
     let mut gov = policy.governor;
     let run = rt.run(app, &mut gov);
     let s = telemetry::summarize(&handle.events());
+    let rung_residency = policy.stats.rung_residency();
     ChaosOutcome {
         ed2: run.ed2(),
         cap_violations: policy.stats.cap_violations(),
         violations_while_fallback: policy.stats.violations_while_fallback(),
         invocations: s.invocations,
-        fallback_invocations: s.fallback_invocations,
+        fallback_invocations: rung_residency[Rung::SafeState.index()],
         sanitizer_rejects: s.sanitizer_rejects,
         faults_detected: s.faults_detected,
         faults_injected: s.faults_injected,
-        rung_residency: policy.stats.rung_residency(),
+        rung_residency,
         rung_demotions: policy.stats.rung_demotions(),
         rung_promotions: policy.stats.rung_promotions(),
     }

@@ -818,10 +818,11 @@ impl DeviceSpec {
         self.gpu.fingerprint()
     }
 
-    /// The watchdog safe state for this device: every CU active (gating is
+    /// The safe state for this device, which safe-state parks and the
+    /// degradation ladder's bottom rung pin: every CU active (gating is
     /// what misbehaves under faults), the compute clock at the second DVFS
     /// state snapped onto the grid, memory at full bandwidth. For the
-    /// HD7970 this is exactly the legacy `safe_state()` (32 CUs @ 500 MHz,
+    /// HD7970 this is PowerTune's 500 MHz DPM state (32 CUs @ 500 MHz,
     /// 1375 MHz bus).
     pub fn safe_state(&self) -> HwConfig {
         let states = self.dvfs.states();
@@ -1048,6 +1049,7 @@ mod tests {
                 "{name}: safe state {safe} off the grid"
             );
             assert_eq!(safe.compute.cu_count(), spec.gpu.grid.cu_max, "{name}");
+            assert!(safe.compute.freq() < spec.gpu.grid.cu_freq_max, "{name}: below boost");
         }
     }
 

@@ -47,7 +47,7 @@ fn hardening_beats_stock_on_the_stress_set() {
 #[test]
 fn ladder_degrades_gracefully_on_the_stress_set() {
     // The degradation-ladder acceptance: stepping down rung-by-rung (with
-    // the retry actuator engaged) must match the parked watchdog's ED²
+    // the retry actuator engaged) must match the parked stack's ED²
     // while spending strictly less time in the terminal safe state, and no
     // rung may ever let a cap violation through.
     let ctx = Context::new();

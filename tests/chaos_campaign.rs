@@ -51,3 +51,32 @@ fn campaign_is_a_pure_function_of_the_seed() {
         assert_eq!(generate_plan(a.seed, idx).specs(), generate_plan(b.seed, idx).specs());
     }
 }
+
+/// Regression cases for phantom cap-while-parked failures: each of these
+/// seeded `hardened:capped` sessions projected a sanitizer stand-in sample
+/// at the safe state and counted a cap violation "while parked" that the
+/// measured intervals never showed. The cap park must count parked
+/// violations only outside sanitizer pressure, like the cap decorator.
+#[test]
+fn cap_park_counts_no_phantom_violations_under_sanitizer_pressure() {
+    use harmonia::governor::PolicySpec;
+    use harmonia::runtime::RetryPolicy;
+    use harmonia_experiments::rr_cmd;
+    use harmonia_repro::types::Watts;
+
+    let ctx = Context::new();
+    for (app, case) in [("Graph500", 901), ("SRAD", 712), ("Sort", 7909)] {
+        let plan = generate_plan(9, case);
+        let recorded = rr_cmd::record_session_with(
+            &ctx,
+            app,
+            PolicySpec::HardenedCapped(Watts(185.0)),
+            Some(&plan),
+            Some(RetryPolicy::default()),
+        )
+        .expect("suite app");
+        assert!(recorded.stats.fallback_engagements() > 0, "{app}: the cap park never engaged");
+        assert!(recorded.stats.sanitizer_rejects() > 0, "{app}: no sanitizer pressure");
+        assert_eq!(recorded.stats.violations_while_fallback(), 0, "{app} case {case}");
+    }
+}

@@ -3,22 +3,20 @@
 //! * the counter sanitizer never lets a non-finite or out-of-range sample
 //!   through, whatever garbage the monitoring block hands it (property
 //!   test over wild float inputs);
-//! * the watchdog's safe-state fallback is always a valid grid point;
+//! * the park's safe-state fallback is always a valid grid point;
 //! * the entire fault plumbing is bit-transparent when the plan is empty —
 //!   a `FaultyModel`-wrapped, actuator-shimmed Graph500 run reproduces the
 //!   committed golden decision trace byte for byte;
 //! * a fully hardened pipeline on clean data rejects nothing and never
 //!   falls back (hardening costs nothing when nothing is wrong).
 
-use harmonia::governor::{
-    safe_state, PolicySpec, Watchdog, WatchdogConfig, WatchdogTransition,
-};
+use harmonia::governor::{LadderConfig, PolicySpec};
 use harmonia::runtime::Runtime;
 use harmonia::sanitize::{counters_plausible, CounterSanitizer, SanitizerConfig};
 use harmonia::telemetry::{self, TraceHandle};
 use harmonia_experiments::Context;
 use harmonia_sim::{CounterSample, FaultPlan, FaultyModel};
-use harmonia_types::{ConfigSpace, HwConfig, Seconds, Watts};
+use harmonia_types::{HwConfig, Seconds, Watts};
 use harmonia_workloads::suite;
 use proptest::prelude::*;
 
@@ -98,21 +96,33 @@ proptest! {
 
 #[test]
 fn watchdog_fallback_is_a_valid_grid_point() {
-    let space = ConfigSpace::hd7970();
-    assert!(space.contains(safe_state()), "safe state off the grid");
+    // The registry's counter park, tripped by garbage counters after
+    // exactly its threshold: every decision it then pins is the device's
+    // safe state, on the grid.
+    let ctx = Context::new();
+    let space = ctx.device().config_space();
+    let safe = ctx.device().safe_state();
+    assert!(space.contains(safe), "safe state off the grid");
 
-    let mut wd = Watchdog::new(WatchdogConfig::default());
-    let threshold = wd.config().threshold;
+    let policy = ctx.policy(PolicySpec::HardenedHarmonia);
+    let mut park = policy.governor;
+    let k = harmonia_sim::KernelProfile::builder("k").build();
+    let garbage = CounterSample {
+        duration: Seconds(0.01),
+        valu_busy_pct: f64::NAN,
+        ..CounterSample::default()
+    };
+    let threshold = u64::from(LadderConfig::park().safe_demote_threshold);
     for i in 0..threshold {
-        let tr = wd.tick(true);
-        if i + 1 == threshold {
-            assert_eq!(tr, WatchdogTransition::Engaged);
-        } else {
-            assert_eq!(tr, WatchdogTransition::None);
-        }
+        let cfg = park.decide(&k, i);
+        assert_ne!(cfg, safe, "interval {i}: parked before the threshold");
+        assert_eq!(policy.stats.fallback_engagements(), 0);
+        park.observe(&k, i, cfg, &garbage);
     }
-    assert!(wd.engaged());
-    assert!(space.contains(wd.safe()), "fallback config off the grid");
+    assert_eq!(policy.stats.fallback_engagements(), 1, "the threshold-th anomaly engages");
+    let pinned = park.decide(&k, threshold);
+    assert_eq!(pinned, safe);
+    assert!(space.contains(pinned), "fallback config off the grid");
 }
 
 #[test]
@@ -152,7 +162,7 @@ fn hardened_clean_run_never_rejects_or_falls_back() {
         .run(&suite::graph500(), &mut gov);
     let s = telemetry::summarize(&handle.events());
     assert_eq!(s.sanitizer_rejects, 0, "sanitizer rejected clean samples");
-    assert_eq!(s.fallbacks_engaged, 0, "watchdog tripped on a clean run");
+    assert_eq!(s.fallbacks_engaged, 0, "a park tripped on a clean run");
     assert_eq!(policy.stats.sanitizer_rejects(), 0);
     assert_eq!(policy.stats.fallback_engagements(), 0);
     assert_eq!(policy.stats.violations_while_fallback(), 0);

@@ -7,10 +7,10 @@
 //!   the emitting governor sits.
 //! * **Trace taps** — `TraceLayer` tees events into its side handle
 //!   without stealing them from the primary sink.
-//! * **Watchdog telemetry** — a layered watchdog emits the same
-//!   `FaultDetected` / `FallbackEngaged` / `FallbackReleased` sequence the
-//!   old governor-internal state machines did.
-//! * **Ledger wiring** — the cap watchdog's actuation check compares
+//! * **Park telemetry** — a layered park emits one `FaultDetected` per
+//!   anomalous interval and a `RungShift` into and back out of
+//!   `safe-state`.
+//! * **Ledger wiring** — the cap park's actuation check compares
 //!   against the *post-clamp* grant when its ledger is handed to the outer
 //!   `CappedGovernor`, and false-trips on the pre-clamp decision when it
 //!   is not.
@@ -18,8 +18,8 @@
 //!   cap violations the plain capped policy counts on the same run.
 
 use harmonia::governor::{
-    CappedGovernor, Governor, GovernorLayer, PolicyResources, PolicySpec, SanitizeLayer,
-    TraceLayer, WatchdogConfig, WatchdogLayer,
+    CapCheck, CappedGovernor, CounterCheck, DegradeLayer, Governor, GovernorLayer, LadderConfig,
+    PolicyResources, PolicySpec, PolicyStats, SanitizeLayer, TraceLayer,
 };
 use harmonia::predictor::SensitivityPredictor;
 use harmonia::runtime::Runtime;
@@ -100,6 +100,26 @@ fn garbage() -> CounterSample {
     }
 }
 
+fn safe() -> HwConfig {
+    HwConfig::min_hd7970()
+}
+
+/// A counter park like the registry's, pinning `safe()`.
+fn counter_park() -> DegradeLayer<'static> {
+    DegradeLayer::park(LadderConfig::park(), safe(), Box::new(CounterCheck::new(false)))
+}
+
+/// A cap park like the registry's (actuation check armed), pinning
+/// `safe()`.
+fn cap_park<'a>(power: &'a PowerModel, cap: Watts, stats: &PolicyStats) -> DegradeLayer<'a> {
+    DegradeLayer::park(
+        LadderConfig::park(),
+        safe(),
+        Box::new(CapCheck::new(power, cap, stats, true)),
+    )
+    .with_stats(stats)
+}
+
 fn probe_events<G: Governor>(mut g: G) -> usize {
     let handle = TraceHandle::new();
     g.set_trace(handle.clone());
@@ -114,15 +134,13 @@ fn probe_events<G: Governor>(mut g: G) -> usize {
 #[test]
 fn every_layer_forwards_the_trace_handle() {
     let power = PowerModel::hd7970();
-    let stats = harmonia::governor::PolicyStats::new();
+    let stats = PolicyStats::new();
 
-    let counters_wd =
-        WatchdogLayer::counters(WatchdogConfig::default()).layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(counters_wd), 1, "counter watchdog layer");
+    let counters = counter_park().layer(Box::new(ProbeGovernor::new()));
+    assert_eq!(probe_events(counters), 1, "counter park layer");
 
-    let cap_wd = WatchdogLayer::cap(WatchdogConfig::default(), &power, Watts(185.0), &stats)
-        .layer(Box::new(ProbeGovernor::new()));
-    assert_eq!(probe_events(cap_wd), 1, "cap watchdog layer");
+    let cap = cap_park(&power, Watts(185.0), &stats).layer(Box::new(ProbeGovernor::new()));
+    assert_eq!(probe_events(cap), 1, "cap park layer");
 
     let sanitized = SanitizeLayer::default().layer(Box::new(ProbeGovernor::new()));
     assert_eq!(probe_events(sanitized), 1, "sanitize layer");
@@ -154,48 +172,51 @@ fn trace_layer_tees_without_stealing_from_the_primary_sink() {
 #[test]
 fn layered_watchdog_emits_the_fault_and_fallback_event_sequence() {
     let handle = TraceHandle::new();
-    let mut g = WatchdogLayer::counters(WatchdogConfig::default())
-        .layer(Box::new(harmonia::governor::BaselineGovernor::new()));
+    let mut g = counter_park().layer(Box::new(harmonia::governor::BaselineGovernor::new()));
     g.set_trace(handle.clone());
     let k = kernel();
-    // threshold = 3 consecutive anomalies trip the fallback.
+    // threshold = 3 consecutive anomalies trip the park.
     for i in 0..3 {
         let cfg = g.decide(&k, i);
         g.observe(&k, i, cfg, &garbage());
     }
-    // base_hold = 4 clean engaged intervals, then release.
+    // base_hold = 4 clean parked intervals, then release.
     for i in 3..7 {
         let cfg = g.decide(&k, i);
-        assert_eq!(cfg, harmonia::governor::safe_state(), "iteration {i} not pinned");
+        assert_eq!(cfg, safe(), "iteration {i} not pinned");
         g.observe(&k, i, cfg, &clean());
     }
     let events = handle.events();
-    let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count();
+    let count = |f: &dyn Fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count();
     assert_eq!(
-        count(|e| matches!(e, TraceEvent::FaultDetected { .. })),
+        count(&|e| matches!(e, TraceEvent::FaultDetected { .. })),
         3,
         "one FaultDetected per anomalous interval"
     );
-    assert_eq!(count(|e| matches!(e, TraceEvent::FallbackEngaged { .. })), 1);
-    assert_eq!(count(|e| matches!(e, TraceEvent::FallbackReleased { .. })), 1);
+    let shift = |from: &str, to: &str, hold: u64| {
+        count(&|e| {
+            matches!(e, TraceEvent::RungShift { from: f, to: t, hold: h, .. }
+                if f == from && t == to && *h == hold)
+        })
+    };
+    assert_eq!(shift("full", "safe-state", 4), 1, "engaged with the base hold");
+    assert_eq!(shift("safe-state", "full", 0), 1, "released once");
+    let summary = harmonia::telemetry::summarize(&events);
+    assert_eq!((summary.fallbacks_engaged, summary.fallbacks_released), (1, 1));
 }
 
 #[test]
 fn post_clamp_ledger_prevents_actuation_false_trips() {
     let power = PowerModel::hd7970();
-    let config = WatchdogConfig {
-        check_actuation: true,
-        ..WatchdogConfig::default()
-    };
     // A cap this tight clamps the baseline's boost decision, so granted
     // (post-clamp) differs from the inner decision (pre-clamp).
     let cap = Watts(150.0);
     let k = kernel();
 
-    // Wired: the watchdog's ledger handed to the cap decorator. The
+    // Wired: the park's ledger handed to the cap decorator. The
     // post-clamp grant overwrites the pre-clamp entry, so granted == ran.
-    let stats = harmonia::governor::PolicyStats::new();
-    let layer = WatchdogLayer::cap(config.clone(), &power, cap, &stats);
+    let stats = PolicyStats::new();
+    let layer = cap_park(&power, cap, &stats);
     let ledger = layer.ledger();
     let guarded = layer.layer(Box::new(harmonia::governor::BaselineGovernor::new()));
     let mut wired = CappedGovernor::new(guarded, &power, cap).with_ledger(ledger);
@@ -220,11 +241,11 @@ fn post_clamp_ledger_prevents_actuation_false_trips() {
     assert_eq!(mismatches(&wired_trace), 0, "post-clamp grants must match");
     assert_eq!(stats.fallback_engagements(), 0);
 
-    // Unwired: the watchdog only sees its own pre-clamp decision, so every
+    // Unwired: the park only sees its own pre-clamp decision, so every
     // observation looks like an actuation failure.
-    let stats = harmonia::governor::PolicyStats::new();
-    let guarded = WatchdogLayer::cap(config, &power, cap, &stats)
-        .layer(Box::new(harmonia::governor::BaselineGovernor::new()));
+    let stats = PolicyStats::new();
+    let guarded =
+        cap_park(&power, cap, &stats).layer(Box::new(harmonia::governor::BaselineGovernor::new()));
     let mut unwired = CappedGovernor::new(guarded, &power, cap);
     let unwired_trace = TraceHandle::new();
     unwired.set_trace(unwired_trace.clone());
@@ -240,9 +261,8 @@ fn post_clamp_ledger_prevents_actuation_false_trips() {
 
 #[test]
 fn hardened_and_plain_capped_stacks_agree_on_cap_accounting() {
-    // Satellite check for the watchdog dedup: extracting the transition
-    // handling into WatchdogLayer must not drift cap-violation accounting
-    // between the plain and hardened capped stacks on a clean run.
+    // Hardening layers must not drift cap-violation accounting between
+    // the plain and hardened capped stacks on a clean run.
     let predictor = SensitivityPredictor::paper_table3();
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
@@ -268,4 +288,54 @@ fn hardened_and_plain_capped_stacks_agree_on_cap_accounting() {
     assert_eq!(hardened.stats.fallback_engagements(), 0);
     assert_eq!(hardened.stats.sanitizer_rejects(), 0);
     assert_eq!(plain_run.total_time, hardened_run.total_time);
+}
+
+#[test]
+fn overlapping_parks_count_safe_residency_once() {
+    // A hardened:capped chaos session in which the counter park and the cap
+    // park hold the safe state at overlapping times: the stats' per-interval
+    // residency and the trace summary's shift-derived fallback invocations
+    // agree, and exceed what the first release alone would leave.
+    use harmonia::runtime::RetryPolicy;
+    use harmonia_experiments::{campaign_cmd, Context};
+    use harmonia_sim::FaultyModel;
+
+    let ctx = Context::new();
+    let plan = campaign_cmd::generate_plan(7, 94);
+    let faulty = FaultyModel::new(ctx.model(), plan.clone());
+    let handle = TraceHandle::new();
+    let policy = ctx.policy(PolicySpec::HardenedCapped(Watts(185.0)));
+    let mut governor = policy.governor;
+    Runtime::new(&faulty, ctx.power())
+        .with_telemetry(handle.clone())
+        .with_faults(&plan)
+        .with_actuator(RetryPolicy::default())
+        .run(&suite::sort(), &mut governor);
+    let events = handle.events();
+    let summary = harmonia::telemetry::summarize(&events);
+    let residency = policy.stats.rung_residency();
+    assert_eq!(residency.iter().sum::<u64>(), summary.invocations, "one count per interval");
+    assert_eq!(summary.fallback_invocations, residency[3]);
+
+    // Cleared on the first release, a single flag undercounts.
+    let mut engaged = false;
+    let mut first_release_clears = 0;
+    for e in &events {
+        match e {
+            TraceEvent::KernelEnd { .. } if engaged => first_release_clears += 1,
+            TraceEvent::RungShift { from, to, .. } => {
+                if to == "safe-state" {
+                    engaged = true;
+                } else if from == "safe-state" {
+                    engaged = false;
+                }
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        summary.fallback_invocations > first_release_clears,
+        "this session's parks must overlap ({} vs {first_release_clears})",
+        summary.fallback_invocations
+    );
 }
