@@ -74,8 +74,10 @@ impl Sensitivity {
     }
 
     /// [`Sensitivity::measure`] on an arbitrary device grid: the probe
-    /// points come from the grid (see [`probe_points`]) so catalog devices
-    /// measure sensitivity across *their* tunable ranges.
+    /// points come from the grid (the shared maximum plus half the CUs,
+    /// half the compute clock, and the minimum memory clock, all snapped
+    /// onto it) so catalog devices measure sensitivity across *their*
+    /// tunable ranges.
     pub fn measure_on<M: TimingModel>(
         grid: &GridSpec,
         model: &M,
@@ -349,7 +351,7 @@ mod tests {
         let app = suite::maxflops();
         for name in harmonia_types::DeviceSpec::catalog() {
             let spec = harmonia_types::DeviceSpec::lookup(name).expect(name);
-            let m = IntervalModel::new(spec.gpu.clone());
+            let m = IntervalModel::new(spec.gpu);
             let s = Sensitivity::measure_on(spec.grid(), &m, &app.kernels[0]);
             assert!(s.cu.is_finite() && s.freq.is_finite() && s.bandwidth.is_finite(), "{name}");
             // MaxFlops stays compute-bound on every catalog part.

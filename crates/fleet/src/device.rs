@@ -1,24 +1,29 @@
 //! One device's session: a per-device governor stack over the shared
 //! [`PlanStore`], stepped once per scheduler tick.
 //!
-//! A session owns its application, its governor stack (the shared oracle,
-//! optionally wrapped in the core [`CappedGovernor`] when the fleet
-//! enforces a cluster cap), and its accounting — total time, card energy,
-//! a rolling FNV-1a digest of every granted configuration, and the cap
-//! telemetry the [`ClusterGovernor`](crate::cluster::ClusterGovernor)
-//! water-fills on. Everything a step touches is either session-local or
+//! A session owns its application, one plan handle per kernel of it
+//! (resolved against the store when the session is built, so a warm step
+//! neither looks a plan up nor hashes a kernel), its governor stack (the
+//! shared oracle, optionally wrapped in the core [`CappedGovernor`] when
+//! the fleet enforces a cluster cap), and its accounting — total time,
+//! card energy, a rolling FNV-1a digest of every granted configuration,
+//! and the cap telemetry the
+//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on. Everything a step touches is either session-local or
 //! goes through the store's per-kernel locks, so stepping devices in
 //! parallel is safe and their accounting is interleaving-independent.
 
 use crate::cluster::DeviceDemand;
-use crate::store::{PlanStore, SharedOracleGovernor};
+use crate::store::{PlanHandle, PlanStore, SharedOracleGovernor};
 use harmonia::governor::{CappedGovernor, Governor};
 use harmonia_power::Activity;
 use harmonia_types::{Joules, Seconds, Watts};
 use harmonia_workloads::Application;
 
 /// The per-device policy stack: the shared-store oracle, bare or under a
-/// power-cap clamp.
+/// power-cap clamp. The session asks the store for the oracle's decision
+/// through its own plan handles and hands it to the clamp's
+/// [`grant`](CappedGovernor::grant), so neither variant's `decide` runs
+/// on the hot path.
 enum DeviceGovernor<'s, 'a> {
     Oracle(SharedOracleGovernor<'s, 'a>),
     Capped(CappedGovernor<'s, SharedOracleGovernor<'s, 'a>>),
@@ -67,6 +72,10 @@ pub struct DeviceSession<'s, 'a> {
     id: usize,
     class: usize,
     app: Application,
+    /// `app.kernels[i]`'s plan, resolved once at construction. The
+    /// kernel's fingerprint lives here rather than in the profile, whose
+    /// fields are public and could change under a cached hash.
+    plans: Vec<PlanHandle>,
     governor: DeviceGovernor<'s, 'a>,
     store: &'s PlanStore<'a>,
     total_time: Seconds,
@@ -135,10 +144,12 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         store: &'s PlanStore<'a>,
         governor: DeviceGovernor<'s, 'a>,
     ) -> Self {
+        let plans = app.kernels.iter().map(|k| store.handle(class, k)).collect();
         Self {
             id,
             class,
             app,
+            plans,
             governor,
             store,
             total_time: Seconds(0.0),
@@ -171,22 +182,21 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     /// tick's merge contribution. Safe to call from any pool worker: all
     /// shared state goes through the store's per-kernel locks.
     pub fn step(&mut self, tick: u64) -> TickOutcome {
-        let capped = matches!(self.governor, DeviceGovernor::Capped(_));
         let power = self.store.power_of(self.class);
         let floor_cfg = self.store.floor_of(self.class);
         let mut tick_power = 0.0_f64;
         let mut demand = DeviceDemand { floor: 0.0, demand: 0.0, weight: 0.0 };
         let mut benefit = 0.0_f64;
-        for (ki, kernel) in self.app.kernels.iter().enumerate() {
-            // The unconstrained optimum first: for capped fleets it is the
-            // demand telemetry; the plan memo makes the governor's own
-            // lookup free either way.
-            let desired = if capped { Some(self.store.decide_for(self.class, kernel, tick)) } else { None };
+        for (ki, (kernel, plan)) in self.app.kernels.iter().zip(&self.plans).enumerate() {
+            // One plan decision per invocation: the unconstrained optimum
+            // is the oracle's grant, and under a cap both the clamp's input
+            // and the demand telemetry.
+            let desired = self.store.decide_with(plan, kernel, tick);
             let granted = match &mut self.governor {
-                DeviceGovernor::Oracle(g) => g.decide(kernel, tick),
-                DeviceGovernor::Capped(g) => g.decide(kernel, tick),
+                DeviceGovernor::Oracle(_) => desired.config,
+                DeviceGovernor::Capped(g) => g.grant(kernel, tick, desired.config),
             };
-            let result = self.store.simulate_for(self.class, kernel, granted, tick);
+            let result = self.store.simulate_with(plan, kernel, granted, tick);
             let activity = Activity {
                 valu_activity: result.counters.valu_activity(),
                 dram_bytes_per_sec: result.counters.dram_bytes_per_sec(),
@@ -207,15 +217,13 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
                 ],
             );
             self.decisions += 1;
-            match &mut self.governor {
-                DeviceGovernor::Oracle(g) => g.observe(kernel, tick, granted, &result.counters),
-                DeviceGovernor::Capped(g) => g.observe(kernel, tick, granted, &result.counters),
-            }
-            if let Some(desired) = desired {
+            // The shared oracle observes nothing; only the clamp learns.
+            if let DeviceGovernor::Capped(g) = &mut self.governor {
+                g.observe(kernel, tick, granted, &result.counters);
                 // Projected draw of the floor and the optimum at the
                 // activity just observed — the floor sim is a cache hit
                 // (the cold sweep covered the whole grid).
-                let floor_res = self.store.simulate_for(self.class, kernel, floor_cfg, tick);
+                let floor_res = self.store.simulate_with(plan, kernel, floor_cfg, tick);
                 let floor_act = Activity {
                     valu_activity: floor_res.counters.valu_activity(),
                     dram_bytes_per_sec: floor_res.counters.dram_bytes_per_sec(),
@@ -332,5 +340,176 @@ mod tests {
         assert!(d.floor > 0.0 && d.demand > d.floor, "telemetry: {d:?}");
         assert!(d.weight >= 0.0);
         assert!(tight.report().final_cap_w == Some(120.0));
+    }
+
+    /// A session stepped the way it was before plan handles: every lookup
+    /// keyed by (class, kernel), and under a cap the oracle decides twice —
+    /// once as demand telemetry, once inside the clamp's `decide`.
+    struct KeyedSession<'s, 'a> {
+        class: usize,
+        app: Application,
+        store: &'s PlanStore<'a>,
+        clamp: Option<CappedGovernor<'s, SharedOracleGovernor<'s, 'a>>>,
+        total_time: Seconds,
+        card_energy: Joules,
+        decisions: u64,
+        digest: u64,
+    }
+
+    impl<'s, 'a> KeyedSession<'s, 'a> {
+        fn new(
+            class: usize,
+            app: Application,
+            store: &'s PlanStore<'a>,
+            cap: Option<Watts>,
+        ) -> Self {
+            let oracle = SharedOracleGovernor::for_class(store, class);
+            Self {
+                class,
+                app,
+                store,
+                clamp: cap.map(|cap| CappedGovernor::new(oracle, store.power_of(class), cap)),
+                total_time: Seconds(0.0),
+                card_energy: Joules(0.0),
+                decisions: 0,
+                digest: FNV_OFFSET,
+            }
+        }
+
+        fn step(&mut self, tick: u64) -> TickOutcome {
+            let (store, class) = (self.store, self.class);
+            let power = store.power_of(class);
+            let floor_cfg = store.floor_of(class);
+            let act = |r: &harmonia_sim::SimResult| Activity {
+                valu_activity: r.counters.valu_activity(),
+                dram_bytes_per_sec: r.counters.dram_bytes_per_sec(),
+                dram_traffic_fraction: r.counters.ic_activity,
+            };
+            let mut tick_power = 0.0_f64;
+            let (mut floor, mut want, mut benefit) = (0.0_f64, 0.0_f64, 0.0_f64);
+            for (ki, kernel) in self.app.kernels.iter().enumerate() {
+                let desired = store.decide_for(class, kernel, tick);
+                let granted = match &mut self.clamp {
+                    Some(g) => g.decide(kernel, tick),
+                    None => SharedOracleGovernor::for_class(store, class).decide(kernel, tick),
+                };
+                let result = store.simulate_for(class, kernel, granted, tick);
+                let card = power.breakdown(granted, &act(&result)).card_pwr();
+                self.total_time += result.time;
+                self.card_energy += card * result.time;
+                tick_power = tick_power.max(card.value());
+                let (cu, f) = (granted.compute.cu_count(), granted.compute.freq().value());
+                let words = [
+                    ki as u64,
+                    cu.into(),
+                    f.into(),
+                    granted.memory.bus_freq().value().into(),
+                ];
+                self.digest = fnv(self.digest, &words);
+                self.decisions += 1;
+                if let Some(g) = &mut self.clamp {
+                    g.observe(kernel, tick, granted, &result.counters);
+                    let floor_res = store.simulate_for(class, kernel, floor_cfg, tick);
+                    let p_floor = power.card_pwr(floor_cfg, &act(&floor_res)).value();
+                    let p_want = power.card_pwr(desired.config, &act(&desired.result));
+                    floor = floor.max(p_floor);
+                    want = want.max(p_want.value());
+                    let t_f = floor_res.time.value();
+                    benefit += (p_floor * t_f * t_f * t_f - desired.objective).max(0.0);
+                }
+            }
+            let gap = want - floor;
+            let weight = if gap > 0.0 {
+                (benefit / gap).max(0.0)
+            } else {
+                0.0
+            };
+            let demand = DeviceDemand {
+                floor,
+                demand: want,
+                weight,
+            };
+            TickOutcome {
+                tick_power_w: tick_power,
+                demand,
+            }
+        }
+
+        fn report(&self, id: usize) -> DeviceReport {
+            let oracle = SharedOracleGovernor::for_class(self.store, self.class);
+            let (time, energy) = (self.total_time.value(), self.card_energy.value());
+            DeviceReport {
+                id,
+                class: self.class,
+                app: self.app.name.clone(),
+                governor: self
+                    .clamp
+                    .as_ref()
+                    .map_or(oracle.name(), |g| g.name())
+                    .to_string(),
+                total_time: self.total_time,
+                card_energy: self.card_energy,
+                ed2: energy * time * time,
+                decisions: self.decisions,
+                cap_violations: self.clamp.as_ref().map_or(0, |g| g.cap_violations()),
+                config_digest: self.digest,
+                final_cap_w: self.clamp.as_ref().map(|g| g.cap().value()),
+            }
+        }
+    }
+
+    fn outcome_bits(o: &TickOutcome) -> [u64; 4] {
+        [
+            o.tick_power_w,
+            o.demand.floor,
+            o.demand.demand,
+            o.demand.weight,
+        ]
+        .map(f64::to_bits)
+    }
+
+    fn report_bits(r: &DeviceReport) -> [u64; 3] {
+        [r.total_time.value(), r.card_energy.value(), r.ed2].map(f64::to_bits)
+    }
+
+    #[test]
+    fn handle_steps_match_keyed_steps_bit_for_bit() {
+        use harmonia_types::DeviceSpec;
+        let hd = IntervalModel::default();
+        let hd_power = PowerModel::hd7970();
+        let v100 = DeviceSpec::v100();
+        let v100_model = IntervalModel::new(v100.gpu);
+        let v100_power = PowerModel::for_device(&v100);
+        let mut store = PlanStore::new(&hd, &hd_power);
+        let v100_class = store.add_class(&v100_model, &v100_power);
+        // A cap that moves every tick, through binding and slack shares.
+        let caps = [120.0, 260.0, 90.0, 150.0, 400.0, 110.0, 180.0].map(Watts);
+        for class in [0, v100_class] {
+            for app in [suite::maxflops(), suite::graph500(), suite::lud()] {
+                for cap in [None, Some(caps[0])] {
+                    let label = format!("class {class} {} cap {cap:?}", app.name);
+                    let mut keyed = KeyedSession::new(class, app.clone(), &store, cap);
+                    let mut session = match cap {
+                        Some(w) => DeviceSession::capped_in_class(3, class, app.clone(), &store, w),
+                        None => DeviceSession::oracle_in_class(3, class, app.clone(), &store),
+                    };
+                    for (tick, &w) in (0u64..).zip(&caps) {
+                        if let Some(g) = &mut keyed.clamp {
+                            g.set_cap(w);
+                        }
+                        session.set_cap(w);
+                        let (want, got) = (keyed.step(tick), session.step(tick));
+                        assert_eq!(
+                            outcome_bits(&got),
+                            outcome_bits(&want),
+                            "{label} tick {tick}"
+                        );
+                    }
+                    let (got, want) = (session.report(), keyed.report(3));
+                    assert_eq!(got, want, "{label}");
+                    assert_eq!(report_bits(&got), report_bits(&want), "{label}");
+                }
+            }
+        }
     }
 }

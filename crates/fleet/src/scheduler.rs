@@ -258,6 +258,35 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_capped_decision_is_one_plan_lookup() {
+        use harmonia_types::DeviceSpec;
+        let hd = IntervalModel::default();
+        let hd_power = PowerModel::hd7970();
+        let v100 = DeviceSpec::v100();
+        let v100_model = IntervalModel::new(v100.gpu);
+        let v100_power = PowerModel::for_device(&v100);
+        let sched = FleetScheduler::new(&hd, &hd_power, "fleet:capped@1500".parse().unwrap())
+            .with_class(&v100_model, &v100_power)
+            .with_ticks(6);
+        let assignments: Vec<(usize, Application)> =
+            [suite::graph500(), suite::lud(), suite::maxflops()]
+                .into_iter()
+                .enumerate()
+                .flat_map(|(i, app)| [(i % 2, app.clone()), ((i + 1) % 2, app)])
+                .collect();
+        let cold = sched.run_mixed(&assignments).report;
+        let warm = sched.run_mixed(&assignments).report;
+        // The clamp grants the session's own unconstrained decision, so a
+        // warm run adds exactly one memo hit per decision and nothing else.
+        assert_eq!(
+            warm.plans.memo_hits - cold.plans.memo_hits,
+            warm.total_decisions() as usize
+        );
+        assert_eq!(warm.plans.cold_sweeps, cold.plans.cold_sweeps);
+        assert_eq!(warm.plans.incremental_sweeps, cold.plans.incremental_sweeps);
+    }
+
+    #[test]
     fn capping_degrades_ed2_monotonically_at_the_fleet_level() {
         // A fleet under a tight budget cannot beat the unconstrained
         // oracle on ED² — the clamp only removes options.
@@ -283,7 +312,7 @@ mod tests {
         let hd = IntervalModel::default();
         let hd_power = PowerModel::hd7970();
         let orin = DeviceSpec::lookup("jetson-orin").unwrap();
-        let orin_model = IntervalModel::new(orin.gpu.clone());
+        let orin_model = IntervalModel::new(orin.gpu);
         let orin_power = PowerModel::for_device(&orin);
         // Tight enough to clamp the hd7970s, but feasible: the jetson
         // floor is tiny next to the hd7970's.

@@ -62,6 +62,10 @@ impl<M: TimingModel> TimingModel for RecordingModel<M> {
         self.inner.gpu()
     }
 
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
+
     fn phase_determined(&self) -> bool {
         // Recording is order- and call-sensitive: memoization collapsing
         // iterations would skip taps, so stay conservative.
@@ -81,12 +85,19 @@ impl<M: TimingModel> TimingModel for RecordingModel<M> {
 pub struct ReplayModel {
     replayer: Replayer,
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, hashed once here rather than per cache lookup.
+    device_key: u64,
 }
 
 impl ReplayModel {
     /// A playback model over `replayer`, describing `gpu`.
     pub fn new(replayer: Replayer, gpu: GpuDescriptor) -> Self {
-        Self { replayer, gpu }
+        let device_key = gpu.fingerprint();
+        Self {
+            replayer,
+            gpu,
+            device_key,
+        }
     }
 
     /// The shared replay cursor.
@@ -104,6 +115,10 @@ impl TimingModel for ReplayModel {
 
     fn gpu(&self) -> &GpuDescriptor {
         &self.gpu
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 
     fn phase_determined(&self) -> bool {
@@ -145,7 +160,7 @@ mod tests {
             .collect();
         assert_eq!(recorder.len(), 8);
 
-        let replay = ReplayModel::new(Replayer::new(recorder.events()), stack.gpu().clone());
+        let replay = ReplayModel::new(Replayer::new(recorder.events()), *stack.gpu());
         for (i, expected) in live.iter().enumerate() {
             let got = replay.simulate(if i % 2 == 0 { cfg } else { low }, &k, i as u64);
             assert_eq!(
@@ -174,9 +189,20 @@ mod tests {
 
     #[test]
     fn exhausted_replay_returns_default_and_flags() {
-        let replay = ReplayModel::new(Replayer::new(vec![]), IntervalModel::default().gpu().clone());
+        let replay = ReplayModel::new(Replayer::new(vec![]), *IntervalModel::default().gpu());
         let r = replay.simulate(HwConfig::max_hd7970(), &kernel(), 0);
         assert_eq!(r.time.value(), 0.0);
         assert!(replay.replayer().error().is_some());
+    }
+
+    #[test]
+    fn device_keys_are_the_descriptor_fingerprint_on_every_device() {
+        for name in harmonia_types::DeviceSpec::catalog() {
+            let gpu = name.parse::<harmonia_types::DeviceSpec>().unwrap().gpu;
+            let recording = RecordingModel::new(IntervalModel::new(gpu), Recorder::new());
+            let replay = ReplayModel::new(Replayer::new(vec![]), gpu);
+            assert_eq!(recording.device_key(), gpu.fingerprint(), "{name}");
+            assert_eq!(replay.device_key(), gpu.fingerprint(), "{name}");
+        }
     }
 }

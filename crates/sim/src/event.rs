@@ -85,6 +85,8 @@ impl FastForwardPolicy {
 #[derive(Debug, Clone)]
 pub struct EventModel {
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, hashed once here rather than per cache lookup.
+    device_key: u64,
     max_waves: u64,
     fast_forward: FastForwardPolicy,
 }
@@ -94,6 +96,7 @@ impl EventModel {
     /// fast-forward off.
     pub fn new(gpu: GpuDescriptor) -> Self {
         Self {
+            device_key: gpu.fingerprint(),
             gpu,
             max_waves: 8192,
             fast_forward: FastForwardPolicy::Off,
@@ -504,6 +507,10 @@ impl TimingModel for EventModel {
 
     fn gpu(&self) -> &GpuDescriptor {
         &self.gpu
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 
     /// Deterministic queueing with no per-iteration randomness: the

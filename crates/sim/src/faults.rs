@@ -555,6 +555,10 @@ impl<M: TimingModel> TimingModel for FaultyModel<M> {
         self.inner.gpu()
     }
 
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
+
     fn phase_determined(&self) -> bool {
         // Faults are seeded per raw iteration, so only the empty plan may
         // inherit the inner model's phase-collapsed memoization.

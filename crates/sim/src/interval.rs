@@ -56,12 +56,15 @@ const L1_HIT_LATENCY_CYCLES: f64 = 20.0;
 #[derive(Debug, Clone)]
 pub struct IntervalModel {
     gpu: GpuDescriptor,
+    /// `gpu.fingerprint()`, hashed once here rather than per cache lookup.
+    device_key: u64,
 }
 
 impl IntervalModel {
     /// Creates an interval model of `gpu`.
     pub fn new(gpu: GpuDescriptor) -> Self {
-        Self { gpu }
+        let device_key = gpu.fingerprint();
+        Self { gpu, device_key }
     }
 }
 
@@ -448,6 +451,10 @@ impl TimingModel for IntervalModel {
 
     fn gpu(&self) -> &GpuDescriptor {
         &self.gpu
+    }
+
+    fn device_key(&self) -> u64 {
+        self.device_key
     }
 
     /// Purely analytic: the iteration number enters only via the phase

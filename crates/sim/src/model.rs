@@ -155,9 +155,11 @@ pub trait TimingModel: Send + Sync {
 
     /// A key identifying the *device* this model simulates, so caches keyed
     /// on `(kernel, fidelity)` never alias results across devices with
-    /// different grids or machine parameters. The default — the
-    /// [`GpuDescriptor`] fingerprint — is right for every model; it exists
-    /// as a method so wrappers forward it alongside `fidelity_key`.
+    /// different grids or machine parameters. It must equal
+    /// `self.gpu().fingerprint()`, which is the default. That hash walks
+    /// every descriptor field and caches ask for the key on every lookup,
+    /// so the workspace's models hash once at construction and return the
+    /// stored value, and wrappers forward it alongside `fidelity_key`.
     fn device_key(&self) -> u64 {
         self.gpu().fingerprint()
     }
@@ -213,5 +215,35 @@ mod tests {
         let r = by_ref.simulate(HwConfig::max_hd7970(), &k, 0);
         assert!(r.time.value() > 0.0);
         assert_eq!(by_ref.gpu().max_cu, 32);
+    }
+
+    #[test]
+    fn stored_device_keys_equal_the_descriptor_fingerprint() {
+        use crate::{CachedModel, EventModel, FaultKind, FaultPlan, FaultSpec, FaultyModel};
+        use crate::{NoisyModel, SimCache, TraceModel};
+        use harmonia_types::DeviceSpec;
+        // Every model hashes its descriptor once at construction; the stored
+        // key must be exactly the hash every lookup used to recompute, and
+        // every wrapper must report its inner model's key.
+        let cache = SimCache::new();
+        for name in DeviceSpec::catalog() {
+            let gpu = name.parse::<DeviceSpec>().unwrap().gpu;
+            let want = gpu.fingerprint();
+            let interval = IntervalModel::new(gpu);
+            let faults = FaultPlan::new(7).with(FaultSpec::new(FaultKind::CounterSpike, 0.5));
+            let models: Vec<Box<dyn TimingModel + '_>> = vec![
+                Box::new(interval.clone()),
+                Box::new(EventModel::new(gpu)),
+                Box::new(TraceModel::new(gpu)),
+                Box::new(NoisyModel::new(interval.clone(), 0.05, 3)),
+                Box::new(FaultyModel::new(interval.clone(), faults)),
+                Box::new(CachedModel::new(&interval, &cache)),
+                Box::new(&interval as &dyn TimingModel),
+            ];
+            for (i, m) in models.iter().enumerate() {
+                assert_eq!(m.device_key(), want, "{name}: model {i}");
+                assert_eq!(m.device_key(), m.gpu().fingerprint(), "{name}: model {i}");
+            }
+        }
     }
 }

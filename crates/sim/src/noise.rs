@@ -96,6 +96,10 @@ impl<M: TimingModel> TimingModel for NoisyModel<M> {
         self.inner.gpu()
     }
 
+    fn device_key(&self) -> u64 {
+        self.inner.device_key()
+    }
+
     fn fidelity_key(&self) -> u64 {
         // Active noise is a fidelity change of its own: mix the amplitude
         // and seed over the inner key so a noisy wrapper sharing a cache

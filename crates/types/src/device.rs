@@ -989,6 +989,22 @@ mod tests {
     }
 
     #[test]
+    fn fingerprints_are_pinned() {
+        // Timing models store this hash at construction and caches key on
+        // it; a change here silently re-keys every cache and plan store.
+        let pinned = [
+            ("hd7970", 0xc356_062f_9c18_11b5u64),
+            ("v100", 0x87d3_3258_793b_3e05),
+            ("h100", 0xd3f4_facf_79de_15c7),
+            ("jetson-orin", 0xd1fa_5b6e_464c_2b23),
+        ];
+        for (name, want) in pinned {
+            let got = name.parse::<DeviceSpec>().unwrap().fingerprint();
+            assert_eq!(got, want, "{name}: {got:#018x}");
+        }
+    }
+
+    #[test]
     fn every_catalog_grid_is_internally_consistent() {
         for name in DeviceSpec::catalog() {
             let spec: DeviceSpec = name.parse().unwrap();
