@@ -58,6 +58,7 @@ pub mod device;
 pub mod event;
 pub mod faults;
 pub mod interval;
+pub mod keyhash;
 pub mod model;
 pub mod noise;
 pub mod occupancy;
@@ -74,6 +75,7 @@ pub use device::{GpuDescriptor, GridSpec};
 pub use event::{EventModel, FastForwardPolicy};
 pub use faults::{ActuationOutcome, FaultKind, FaultPlan, FaultSpec, FaultyModel};
 pub use interval::IntervalModel;
+pub use keyhash::{KeyHasher, KeyMap};
 pub use model::{FastForwardStats, SimResult, TimingModel};
 pub use noise::NoisyModel;
 pub use occupancy::{Occupancy, OccupancyLimiter};
