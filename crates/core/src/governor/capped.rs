@@ -138,9 +138,10 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
     fn clamp(&self, cfg: HwConfig, activity: &Activity) -> HwConfig {
         let grid = self.power.grid();
         let mut cfg = cfg;
+        let mut projected = self.power.card_pwr(cfg, activity);
         // Bounded by the total grid depth; each iteration removes one step.
         for _ in 0..grid.descent_bound() {
-            if self.power.card_pwr(cfg, activity) <= self.cap {
+            if projected <= self.cap {
                 break;
             }
             // Greedy: take the single downward step that saves the most
@@ -155,7 +156,8 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
                 }
             }
             match best {
-                Some((next, _)) => cfg = next,
+                // The chosen step's projection is the next cap check's.
+                Some((next, p)) => (cfg, projected) = (next, Watts(p)),
                 None => break, // grid floor: nothing left to shed
             }
         }

@@ -190,13 +190,6 @@ impl HarmoniaGovernor {
         }
     }
 
-    fn state_mut(&mut self, kernel: &str) -> &mut KernelState {
-        let initial = HwConfig::max_on(&self.config.grid);
-        self.kernels
-            .entry(kernel.to_string())
-            .or_insert_with(|| KernelState::new(initial))
-    }
-
     /// The configuration currently selected for `kernel` (for inspection).
     pub fn current_config(&self, kernel: &str) -> Option<HwConfig> {
         self.kernels.get(kernel).map(|s| s.cfg)
@@ -213,7 +206,16 @@ impl Governor for HarmoniaGovernor {
     }
 
     fn decide(&mut self, kernel: &KernelProfile, _iteration: u64) -> HwConfig {
-        self.state_mut(&kernel.name).cfg
+        match self.kernels.get(&kernel.name) {
+            Some(state) => state.cfg,
+            None => {
+                // First visit: start at the grid maximum. Only this visit
+                // allocates the kernel's name.
+                let initial = HwConfig::max_on(&self.config.grid);
+                self.kernels.insert(kernel.name.clone(), KernelState::new(initial));
+                initial
+            }
+        }
     }
 
     fn observe(
@@ -223,14 +225,16 @@ impl Governor for HarmoniaGovernor {
         cfg: HwConfig,
         counters: &CounterSample,
     ) {
-        let enable_cg = self.config.enable_cg;
-        let enable_fg = self.config.enable_fg;
-        let grid = self.config.grid;
-        let cg = self.cg.clone();
-        let fg = self.fg.clone();
-        let trace = self.trace.clone();
-
-        let state = self.state_mut(&kernel.name);
+        // Split borrows: the kernel's state is updated while the CG/FG
+        // blocks and the trace handle are read, without cloning them.
+        let Self { cg, fg, config, kernels, trace, .. } = self;
+        let (enable_cg, enable_fg, grid) = (config.enable_cg, config.enable_fg, config.grid);
+        let state = match kernels.get_mut(&kernel.name) {
+            Some(state) => state,
+            None => kernels
+                .entry(kernel.name.clone())
+                .or_insert_with(|| KernelState::new(HwConfig::max_on(&grid))),
+        };
         // Predict on the kernel's *nominal* counter values — a running
         // average of the observed samples, the online equivalent of Section
         // 4.2's per-kernel averages. Instantaneous counters swing with the
@@ -332,7 +336,7 @@ impl Governor for HarmoniaGovernor {
                 cfg,
                 rate_now,
                 |t| accepted.bin_for(t) != SensitivityBin::High,
-                &trace,
+                trace,
                 &kernel.name,
                 iteration,
             )

@@ -74,10 +74,14 @@ impl DecisionLedger {
 
     /// Records `cfg` as the granted configuration for `kernel`.
     pub fn grant(&self, kernel: &str, cfg: HwConfig) {
-        self.inner
-            .lock()
-            .expect("ledger poisoned")
-            .insert(kernel.to_string(), cfg);
+        let mut granted = self.inner.lock().expect("ledger poisoned");
+        // Only a kernel's first grant allocates its name.
+        match granted.get_mut(kernel) {
+            Some(slot) => *slot = cfg,
+            None => {
+                granted.insert(kernel.to_string(), cfg);
+            }
+        }
     }
 
     /// The most recently granted configuration for `kernel`.

@@ -343,7 +343,11 @@ impl<'a> Runtime<'a> {
                 // identically, so a replayed session re-produces the
                 // recording bit for bit.
                 let actuation = match (&self.replay, self.faults) {
-                    (Some(rep), _) => match rep.actuation_event_for(&kernel.name, iteration) {
+                    (Some(rep), _) => match rep.actuation_event_for(
+                        &self.model.gpu().grid,
+                        &kernel.name,
+                        iteration,
+                    ) {
                         Some(ReplayedActuation::Fault { kind, actual }) if actual != decided => {
                             Actuation::Fault { kind, actual }
                         }

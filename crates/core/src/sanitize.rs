@@ -289,7 +289,11 @@ impl<'a> CounterSanitizer<'a> {
         counters: CounterSample,
         trace: &TraceHandle,
     ) -> (Seconds, CounterSample) {
-        let ks = self.kernels.entry(kernel.to_string()).or_default();
+        // Only a kernel's first visit allocates its name.
+        let ks = match self.kernels.get_mut(kernel) {
+            Some(ks) => ks,
+            None => self.kernels.entry(kernel.to_string()).or_default(),
+        };
         if ks.last_cfg != Some(cfg) {
             // The operating point moved: counter levels legitimately shift,
             // so the outlier history no longer applies.

@@ -182,7 +182,7 @@ fn check_case(
         .events
         .iter()
         .flat_map(event_configs)
-        .any(|cfg| cfg.to_hw().is_none())
+        .any(|cfg| cfg.to_hw_on(ctx.device().grid()).is_none())
     {
         violated.push("grid-valid");
     }

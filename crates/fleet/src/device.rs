@@ -476,7 +476,7 @@ mod tests {
     fn handle_steps_match_keyed_steps_bit_for_bit() {
         use harmonia_types::DeviceSpec;
         let hd = IntervalModel::default();
-        let hd_power = PowerModel::hd7970();
+        let hd_power = PowerModel::for_device(&"hd7970".parse().expect("a catalog device"));
         let v100 = DeviceSpec::v100();
         let v100_model = IntervalModel::new(v100.gpu);
         let v100_power = PowerModel::for_device(&v100);

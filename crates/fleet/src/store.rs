@@ -377,7 +377,7 @@ mod tests {
     fn device_classes_plan_and_decide_independently() {
         use harmonia_types::DeviceSpec;
         let hd = IntervalModel::default();
-        let hd_power = PowerModel::hd7970();
+        let hd_power = PowerModel::for_device(&"hd7970".parse().expect("a catalog device"));
         let v100 = DeviceSpec::v100();
         let v100_model = IntervalModel::new(v100.gpu);
         let v100_power = PowerModel::for_device(&v100);

@@ -13,7 +13,7 @@
 //! is part of GPUPwr in the paper's accounting (it notes the MC is "about 3%
 //! of the overall memory power"), so it lives here, not in the DRAM model.
 
-use harmonia_types::{DvfsTable, HwConfig, Watts};
+use harmonia_types::{DvfsTable, HwConfig, MegaHertz, Volts, Watts};
 use serde::{Deserialize, Serialize};
 
 // The parameter struct lives in the device catalog (`harmonia_types`) so
@@ -41,6 +41,36 @@ impl ComputePower {
     }
 }
 
+/// The factors of chip power that depend on the compute clock alone: the
+/// supply voltage the DVFS table interpolates for it and the leakage
+/// voltage scale derived from that voltage.
+///
+/// [`PowerModel`](crate::PowerModel) computes these once per compute-clock
+/// level of its grid; [`chip_power_at`] consumes them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ClockTerms {
+    /// Supply voltage at the clock.
+    pub(crate) voltage: Volts,
+    /// Leakage scale `(V / V_ref)^exponent` at that voltage.
+    pub(crate) leak_scale: f64,
+}
+
+/// Evaluates the compute-clock terms of chip power at `freq`.
+pub(crate) fn clock_terms(
+    params: &ComputePowerParams,
+    dvfs: &DvfsTable,
+    freq: MegaHertz,
+) -> ClockTerms {
+    let v = dvfs.voltage_for(freq);
+    // Leakage scales super-linearly with voltage.
+    let leak_scale =
+        (v.value() / params.leak_ref_voltage.value()).powf(params.leak_voltage_exponent);
+    ClockTerms {
+        voltage: v,
+        leak_scale,
+    }
+}
+
 /// Evaluates chip power for a configuration and activity level.
 ///
 /// * `valu_activity` — fraction of time CU SIMDs are issuing (0..1).
@@ -53,10 +83,24 @@ pub fn chip_power(
     valu_activity: f64,
     dram_traffic_fraction: f64,
 ) -> ComputePower {
+    let terms = clock_terms(params, dvfs, cfg.compute.freq());
+    chip_power_at(params, terms, cfg, valu_activity, dram_traffic_fraction)
+}
+
+/// [`chip_power`] with the compute-clock terms already evaluated: `terms`
+/// must be [`clock_terms`] at `cfg`'s compute clock. Both paths share this
+/// body, so a tabulated `terms` gives bit-identical watts.
+pub(crate) fn chip_power_at(
+    params: &ComputePowerParams,
+    terms: ClockTerms,
+    cfg: HwConfig,
+    valu_activity: f64,
+    dram_traffic_fraction: f64,
+) -> ComputePower {
     let valu_activity = valu_activity.clamp(0.0, 1.0);
     let dram_traffic_fraction = dram_traffic_fraction.clamp(0.0, 1.0);
 
-    let v = dvfs.voltage_for(cfg.compute.freq());
+    let v = terms.voltage;
     let v2 = v.value() * v.value();
     let f_ghz = cfg.compute.freq().as_ghz();
     let n_cu = f64::from(cfg.compute.cu_count());
@@ -68,9 +112,9 @@ pub fn chip_power(
         params.idle_clock_fraction + (1.0 - params.idle_clock_fraction) * valu_activity;
     let cu_dynamic = Watts(n_cu * per_cu_full * activity_share);
 
-    // Leakage scales super-linearly with voltage; gated CUs leak nothing.
-    let leak_scale = (v.value() / params.leak_ref_voltage.value()).powf(params.leak_voltage_exponent);
-    let leakage = Watts((n_cu * params.leak_per_cu_ref + params.leak_uncore_ref) * leak_scale);
+    // Gated CUs leak nothing.
+    let leakage =
+        Watts((n_cu * params.leak_per_cu_ref + params.leak_uncore_ref) * terms.leak_scale);
 
     // Uncore switches with the compute clock and with L2↔DRAM traffic.
     let uncore = Watts(

@@ -1,8 +1,8 @@
 //! The combined card power model and its observable breakdown.
 
-use crate::compute::{chip_power, ComputePowerParams};
+use crate::compute::{chip_power_at, clock_terms, ClockTerms, ComputePowerParams};
 use crate::memory::{memory_power_at, MemoryPowerParams};
-use harmonia_types::{DeviceSpec, DvfsTable, GridSpec, HwConfig, Watts};
+use harmonia_types::{DeviceSpec, DvfsTable, GridSpec, HwConfig, MegaHertz, Watts};
 use serde::{Deserialize, Serialize};
 
 /// Activity factors the power model consumes, produced by the simulator's
@@ -109,37 +109,90 @@ impl PowerBreakdown {
 }
 
 /// The calibrated card power model of one device (default: the HD7970).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Every constructor also tabulates the compute-clock terms (voltage and
+/// leakage scale) at each compute-clock level of the grid, so evaluating a
+/// grid configuration skips the DVFS interpolation and the `powf`. Off-grid
+/// clocks evaluate them on the spot; both paths produce the same bits.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     compute: ComputePowerParams,
     memory: MemoryPowerParams,
     dvfs: DvfsTable,
     other: Watts,
     grid: GridSpec,
+    /// [`clock_terms`] at each of `grid`'s compute clocks, ascending.
+    clock_terms: Vec<ClockTerms>,
 }
 
 impl PowerModel {
+    /// Assembles a model and tabulates its clock terms.
+    fn build(
+        compute: ComputePowerParams,
+        memory: MemoryPowerParams,
+        dvfs: DvfsTable,
+        other: Watts,
+        grid: GridSpec,
+    ) -> Self {
+        let mut model = Self {
+            compute,
+            memory,
+            dvfs,
+            other,
+            grid,
+            clock_terms: Vec::new(),
+        };
+        model.tabulate();
+        model
+    }
+
+    fn tabulate(&mut self) {
+        // A zero-step grid has no lattice (its level lists would panic):
+        // leave the table empty and evaluate every clock on the spot.
+        self.clock_terms = if self.grid.cu_freq_step == 0 {
+            Vec::new()
+        } else {
+            self.grid
+                .cu_freq_levels()
+                .into_iter()
+                .map(|f| clock_terms(&self.compute, &self.dvfs, f))
+                .collect()
+        };
+    }
+
+    /// The clock terms at `freq`: a table entry when `freq` is one of the
+    /// grid's compute clocks, evaluated otherwise.
+    fn clock_terms_at(&self, freq: MegaHertz) -> ClockTerms {
+        let grid = &self.grid;
+        freq.value()
+            .checked_sub(grid.cu_freq_min.value())
+            .filter(|off| off.checked_rem(grid.cu_freq_step) == Some(0))
+            .and_then(|off| self.clock_terms.get((off / grid.cu_freq_step) as usize))
+            .copied()
+            .unwrap_or_else(|| clock_terms(&self.compute, &self.dvfs, freq))
+    }
+
     /// The default calibration for the HD7970 test bed.
     pub fn hd7970() -> Self {
-        Self {
-            compute: ComputePowerParams::default(),
-            memory: MemoryPowerParams::default(),
-            dvfs: DvfsTable::hd7970(),
-            other: Watts(33.0),
-            grid: GridSpec::HD7970,
-        }
+        Self::build(
+            ComputePowerParams::default(),
+            MemoryPowerParams::default(),
+            DvfsTable::hd7970(),
+            Watts(33.0),
+            GridSpec::HD7970,
+        )
     }
 
     /// The power model of a catalog device: its calibration, DVFS table,
     /// and grid. `for_device(&DeviceSpec::hd7970())` equals `hd7970()`.
     pub fn for_device(spec: &DeviceSpec) -> Self {
-        Self {
-            compute: spec.power.compute.clone(),
-            memory: spec.power.memory.clone(),
-            dvfs: spec.dvfs.clone(),
-            other: spec.power.other,
-            grid: spec.gpu.grid,
-        }
+        Self::build(
+            spec.power.compute.clone(),
+            spec.power.memory.clone(),
+            spec.dvfs.clone(),
+            spec.power.other,
+            spec.gpu.grid,
+        )
     }
 
     /// A forward-looking *on-package stacked memory* calibration — the
@@ -148,9 +201,9 @@ impl PowerModel {
     /// and interface power drop (short in-package links, no board-level
     /// termination), and the board overhead shrinks; compute is unchanged.
     pub fn stacked_package() -> Self {
-        Self {
-            compute: ComputePowerParams::default(),
-            memory: MemoryPowerParams {
+        Self::build(
+            ComputePowerParams::default(),
+            MemoryPowerParams {
                 background_per_ghz: 6.0,
                 phy_per_ghz: 2.5,
                 phy_static: 1.0,
@@ -160,10 +213,10 @@ impl PowerModel {
                 slow_clock_energy_penalty: 0.04,
                 voltage_scaling: true, // on-package rails are scalable
             },
-            dvfs: DvfsTable::hd7970(),
-            other: Watts(18.0),
-            grid: GridSpec::HD7970,
-        }
+            DvfsTable::hd7970(),
+            Watts(18.0),
+            GridSpec::HD7970,
+        )
     }
 
     /// Builds a model with custom parameters on the HD7970 grid (for
@@ -174,19 +227,14 @@ impl PowerModel {
         dvfs: DvfsTable,
         other: Watts,
     ) -> Self {
-        Self {
-            compute,
-            memory,
-            dvfs,
-            other,
-            grid: GridSpec::HD7970,
-        }
+        Self::build(compute, memory, dvfs, other, GridSpec::HD7970)
     }
 
     /// Rebinds the model to another device grid (for what-if studies that
     /// start from [`with_params`](Self::with_params) on a catalog device).
     pub fn with_grid(mut self, grid: GridSpec) -> Self {
         self.grid = grid;
+        self.tabulate();
         self
     }
 
@@ -204,9 +252,9 @@ impl PowerModel {
 
     /// Evaluates the full card power breakdown at `cfg` under `activity`.
     pub fn breakdown(&self, cfg: HwConfig, activity: &Activity) -> PowerBreakdown {
-        let chip = chip_power(
+        let chip = chip_power_at(
             &self.compute,
-            &self.dvfs,
+            self.clock_terms_at(cfg.compute.freq()),
             cfg,
             activity.valu_activity,
             activity.dram_traffic_fraction,
@@ -234,6 +282,20 @@ impl PowerModel {
     /// Total card power — shorthand for `breakdown(..).card_pwr()`.
     pub fn card_pwr(&self, cfg: HwConfig, activity: &Activity) -> Watts {
         self.breakdown(cfg, activity).card_pwr()
+    }
+}
+
+// Hand-written: the serialized form is the calibration alone, not the
+// derived clock-term table (the vendored derive has no `skip`).
+impl Serialize for PowerModel {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("compute".to_string(), self.compute.to_value()),
+            ("memory".to_string(), self.memory.to_value()),
+            ("dvfs".to_string(), self.dvfs.to_value()),
+            ("other".to_string(), self.other.to_value()),
+            ("grid".to_string(), self.grid.to_value()),
+        ])
     }
 }
 

@@ -40,7 +40,7 @@ pub use model::{RecordingModel, ReplayModel};
 
 use harmonia_sim::model::FastForwardStats;
 use harmonia_sim::{ActuationOutcome, CounterSample, FaultKind, SimResult};
-use harmonia_types::{HwConfig, Seconds};
+use harmonia_types::{GridSpec, HwConfig, Seconds};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -70,14 +70,20 @@ impl From<HwConfig> for CfgPoint {
 }
 
 impl CfgPoint {
-    /// Reconstructs the validated [`HwConfig`]; `None` if the point is off
-    /// the hardware grid (e.g. a hand-edited trace).
-    pub fn to_hw(self) -> Option<HwConfig> {
+    /// Reconstructs the validated [`HwConfig`] on `grid`; `None` if the
+    /// point is off that grid (e.g. a hand-edited trace, or a point
+    /// recorded on another device).
+    pub fn to_hw_on(self, grid: &GridSpec) -> Option<HwConfig> {
         use harmonia_types::{ComputeConfig, MegaHertz, MemoryConfig};
         Some(HwConfig::new(
-            ComputeConfig::new(self.cu, MegaHertz(self.cu_mhz)).ok()?,
-            MemoryConfig::new(MegaHertz(self.mem_mhz)).ok()?,
+            ComputeConfig::new_on(grid, self.cu, MegaHertz(self.cu_mhz)).ok()?,
+            MemoryConfig::new_on(grid, MegaHertz(self.mem_mhz)).ok()?,
         ))
+    }
+
+    /// [`to_hw_on`](Self::to_hw_on) with the HD7970 grid.
+    pub fn to_hw(self) -> Option<HwConfig> {
+        self.to_hw_on(&GridSpec::HD7970)
     }
 }
 
@@ -760,8 +766,13 @@ impl Replayer {
     /// resolution at the cursor is a structural error through this method —
     /// use [`actuation_event_for`](Self::actuation_event_for) to serve both
     /// shapes.
-    pub fn actuation_for(&self, kernel: &str, iteration: u64) -> Option<(FaultKind, HwConfig)> {
-        match self.actuation_event_for(kernel, iteration) {
+    pub fn actuation_for(
+        &self,
+        grid: &GridSpec,
+        kernel: &str,
+        iteration: u64,
+    ) -> Option<(FaultKind, HwConfig)> {
+        match self.actuation_event_for(grid, kernel, iteration) {
             Some(ReplayedActuation::Fault { kind, actual }) => Some((kind, actual)),
             Some(ReplayedActuation::Resolved { .. }) => {
                 let mut c = self.inner.lock().expect("replayer poisoned");
@@ -779,8 +790,14 @@ impl Replayer {
     /// The recorded actuation outcome for this invocation, if one was
     /// recorded, in either trace shape: scans past deterministic events;
     /// stops (without consuming) at the invocation's sample when actuation
-    /// was clean.
-    pub fn actuation_event_for(&self, kernel: &str, iteration: u64) -> Option<ReplayedActuation> {
+    /// was clean. Recorded configurations are validated on `grid`, the
+    /// live run's device grid.
+    pub fn actuation_event_for(
+        &self,
+        grid: &GridSpec,
+        kernel: &str,
+        iteration: u64,
+    ) -> Option<ReplayedActuation> {
         let mut c = self.inner.lock().expect("replayer poisoned");
         loop {
             let pos = c.pos;
@@ -788,7 +805,7 @@ impl Replayer {
                 Some(SessionEvent::Actuation { kernel: k, iteration: it, kind, actual, .. }) => {
                     return if k == kernel && *it == iteration {
                         let kind = *kind;
-                        let hw = actual.to_hw();
+                        let hw = actual.to_hw_on(grid);
                         c.pos = pos + 1;
                         match hw {
                             Some(actual) => Some(ReplayedActuation::Fault { kind, actual }),
@@ -817,7 +834,7 @@ impl Replayer {
                 }) => {
                     return if k == kernel && *it == iteration {
                         let (outcome, attempts, kinds) = (*outcome, *attempts, kinds.clone());
-                        let hw = actual.to_hw();
+                        let hw = actual.to_hw_on(grid);
                         c.pos = pos + 1;
                         match hw {
                             Some(actual) => Some(ReplayedActuation::Resolved {
@@ -988,14 +1005,14 @@ mod tests {
             sample("k", 1, 0.25),
         ];
         let rep = Replayer::new(events);
-        let (kind, actual) = rep.actuation_for("k", 0).expect("recorded actuation");
+        let (kind, actual) = rep.actuation_for(&GridSpec::HD7970, "k", 0).expect("recorded actuation");
         assert_eq!(kind, FaultKind::DvfsDeny);
         assert_eq!(actual, hw);
         let r0 = rep.sample_for(hw, "k", 0).expect("sample 0");
         assert_eq!(r0.time.value(), 0.5);
         // Second invocation had clean actuation: the replayer must not
         // consume its sample while answering the actuation probe.
-        assert!(rep.actuation_for("k", 1).is_none());
+        assert!(rep.actuation_for(&GridSpec::HD7970, "k", 1).is_none());
         let r1 = rep.sample_for(hw, "k", 1).expect("sample 1");
         assert_eq!(r1.time.value(), 0.25);
         assert!(rep.error().is_none());
@@ -1021,7 +1038,7 @@ mod tests {
             sample("k", 0, 0.5),
         ];
         let rep = Replayer::new(events.clone());
-        match rep.actuation_event_for("k", 0) {
+        match rep.actuation_event_for(&GridSpec::HD7970, "k", 0) {
             Some(ReplayedActuation::Resolved { outcome, attempts, kinds, actual }) => {
                 assert_eq!(outcome, ActuationOutcome::RolledBack);
                 assert_eq!(attempts, 3);
@@ -1035,7 +1052,7 @@ mod tests {
 
         // The legacy probe must not silently coerce a resolution.
         let rep = Replayer::new(events);
-        assert!(rep.actuation_for("k", 0).is_none());
+        assert!(rep.actuation_for(&GridSpec::HD7970, "k", 0).is_none());
         let err = rep.error().expect("legacy probe flagged");
         assert!(err.message.contains("legacy probe"), "{err}");
         // The sample is still served so the run can complete.

@@ -80,3 +80,39 @@ fn cap_park_counts_no_phantom_violations_under_sanitizer_pressure() {
         assert_eq!(recorded.stats.violations_while_fallback(), 0, "{app} case {case}");
     }
 }
+
+/// Replay validates recorded actuations on the live run's device grid: a
+/// v100 `hardened:capped` chaos session whose retry shim resolved DVFS
+/// faults (configurations off the HD7970 grid) replays bit-exactly.
+#[test]
+fn v100_capped_session_with_resolutions_replays_bit_exactly() {
+    use harmonia::governor::PolicySpec;
+    use harmonia::runtime::RetryPolicy;
+    use harmonia_experiments::rr_cmd::{self, chaos_plan};
+    use harmonia_repro::rr::{differ, SessionEvent};
+    use harmonia_repro::types::{DeviceSpec, Watts};
+
+    let ctx = Context::for_device(DeviceSpec::v100());
+    let recorded = rr_cmd::record_session_with(
+        &ctx,
+        "Graph500",
+        PolicySpec::HardenedCapped(Watts(185.0)),
+        Some(&chaos_plan(9)),
+        Some(RetryPolicy::default()),
+    )
+    .expect("suite app");
+    let resolutions = recorded
+        .events
+        .iter()
+        .filter(|e| matches!(e, SessionEvent::ActuationResolved { .. }))
+        .count();
+    assert!(resolutions > 0, "the session resolved no actuations");
+    let replayed = rr_cmd::replay_session(&ctx, &recorded.events).expect("session replays");
+    assert!(
+        replayed.divergence.is_none(),
+        "v100 replay diverged:\n{}",
+        differ::diff_report(&recorded.events, &replayed.events)
+    );
+    assert!(replayed.replay_error.is_none(), "{:?}", replayed.replay_error);
+    assert_eq!(replayed.run, recorded.run);
+}
