@@ -12,10 +12,17 @@
 //! tick) and an interleave-determinism bit: the canonical fleet report must
 //! be byte-identical between a 1-thread and an 8-thread pool.
 //!
+//! Throughput is timed over 16-tick runs, the length of the benchmark's
+//! gated fleet workload, and recorded as the median with its quartiles
+//! over [`REPS`] reps beside the host's core count: an absolute figure
+//! only compares between hosts of one shape, and a later run can tell a
+//! code change from host noise only by how far it falls outside the
+//! quartiles.
+//!
 //! Running this bench regenerates `BENCH_fleet.json` at the repository root.
 
 use criterion::Criterion;
-use harmonia_bench::{median_secs, write_bench_artifact, BenchJson};
+use harmonia_bench::{quartile_secs, write_bench_artifact, BenchJson};
 use harmonia_fleet::{FleetScheduler, FleetSpec};
 use harmonia_power::PowerModel;
 use harmonia_sim::{IntervalModel, SweepPool};
@@ -25,8 +32,10 @@ use std::hint::black_box;
 
 /// Fleet size for the headline artifact numbers (the CI floor's scenario).
 const DEVICES: usize = 1024;
-/// Scheduler ticks per run: enough decisions to time, short enough to rep.
-const TICKS: u64 = 4;
+/// Scheduler ticks per run: the gated fleet workload's run length.
+const TICKS: u64 = 16;
+/// Timed warm runs per leg; the artifact records their quartiles.
+const REPS: usize = 11;
 
 fn fleet_apps(n: usize) -> Vec<Application> {
     (0..n).map(|_| suite::stencil()).collect()
@@ -70,10 +79,25 @@ fn bench_fleet(c: &mut Criterion) {
     });
 }
 
+/// Adds a leg's warm-run timing to `json`: the run's quartile times and
+/// the decision rates they imply (the fastest quartile run is the highest
+/// rate). Returns the median rate.
+fn timed_fields(json: BenchJson, decisions: u64, [q1, median, q3]: [f64; 3]) -> (BenchJson, f64) {
+    let rate = |secs: f64| decisions as f64 / secs;
+    let json = json
+        .field_int("reps", REPS as u64)
+        .field_f64("warm_run_ms_p25", q1 * 1e3, 3)
+        .field_f64("warm_run_ms", median * 1e3, 3)
+        .field_f64("warm_run_ms_p75", q3 * 1e3, 3)
+        .field_f64("decisions_per_sec_p25", rate(q3), 0)
+        .field_f64("decisions_per_sec", rate(median), 0)
+        .field_f64("decisions_per_sec_p75", rate(q1), 0);
+    (json, rate(median))
+}
+
 /// Times the warm 1024-session fleet, checks cap compliance and interleave
 /// determinism, and writes `BENCH_fleet.json` at the repository root.
 fn write_artifact() {
-    const REPS: usize = 5;
     let model = IntervalModel::default();
     let power = PowerModel::hd7970();
 
@@ -88,9 +112,8 @@ fn write_artifact() {
     sched.run(&apps);
     let warm = sched.run(&apps);
     let report = &warm.report;
-    let warm_s = median_secs(REPS, || sched.run(&apps));
+    let warm_s = quartile_secs(REPS, || sched.run(&apps));
     let decisions = report.total_decisions();
-    let decisions_per_sec = decisions as f64 / warm_s;
 
     // Interleave determinism: fresh schedulers (cold stores) on private
     // 1-thread and 8-thread pools must render byte-identical reports.
@@ -115,9 +138,9 @@ fn write_artifact() {
         .field_int("unique_kernels", report.unique_kernels as u64)
         .field_f64("global_cap_w", cap_w, 1)
         .field_f64("solo_peak_power_w", p0, 1)
-        .field_int("decisions_per_run", decisions)
-        .field_f64("warm_run_ms", warm_s * 1e3, 3)
-        .field_f64("decisions_per_sec", decisions_per_sec, 0)
+        .field_int("decisions_per_run", decisions);
+    let (json, decisions_per_sec) = timed_fields(json, decisions, warm_s);
+    let json = json
         .field_int("cluster_violation_ticks", report.cluster_violation_ticks)
         .field_int("infeasible_ticks", report.infeasible_ticks)
         .field_f64("max_cluster_power_w", report.max_cluster_power_w, 1)
@@ -147,9 +170,8 @@ fn write_artifact() {
     mixed_sched.run_mixed(&assignments);
     let mixed_warm = mixed_sched.run_mixed(&assignments);
     let mixed_report = &mixed_warm.report;
-    let mixed_s = median_secs(REPS, || mixed_sched.run_mixed(&assignments));
+    let mixed_warm_s = quartile_secs(REPS, || mixed_sched.run_mixed(&assignments));
     let mixed_decisions = mixed_report.total_decisions();
-    let mixed_per_sec = mixed_decisions as f64 / mixed_s;
 
     let mixed_json = BenchJson::object()
         .field_str("device_classes", "hd7970+v100")
@@ -158,9 +180,9 @@ fn write_artifact() {
         .field_int("ticks", TICKS)
         .field_f64("global_cap_w", mixed_cap_w, 1)
         .field_f64("v100_solo_peak_power_w", v100_p0, 1)
-        .field_int("decisions_per_run", mixed_decisions)
-        .field_f64("warm_run_ms", mixed_s * 1e3, 3)
-        .field_f64("decisions_per_sec", mixed_per_sec, 0)
+        .field_int("decisions_per_run", mixed_decisions);
+    let (mixed_json, mixed_per_sec) = timed_fields(mixed_json, mixed_decisions, mixed_warm_s);
+    let mixed_json = mixed_json
         .field_int("cluster_violation_ticks", mixed_report.cluster_violation_ticks)
         .field_int("infeasible_ticks", mixed_report.infeasible_ticks)
         .field_f64("max_cluster_power_w", mixed_report.max_cluster_power_w, 1)

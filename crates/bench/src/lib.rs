@@ -57,7 +57,14 @@ impl Default for BenchHarness {
 }
 
 /// Median of `reps` wall-clock measurements of `f`, in seconds.
-pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+pub fn median_secs<R>(reps: usize, f: impl FnMut() -> R) -> f64 {
+    quartile_secs(reps, f)[1]
+}
+
+/// Lower quartile, median and upper quartile of `reps` wall-clock
+/// measurements of `f`, in seconds (nearest rank). The quartiles say how
+/// far one rep can move the median on the measuring host.
+pub fn quartile_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> [f64; 3] {
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let start = Instant::now();
@@ -66,7 +73,8 @@ pub fn median_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
+    let rank = |q: f64| times[((times.len() - 1) as f64 * q).round() as usize];
+    [rank(0.25), rank(0.5), rank(0.75)]
 }
 
 /// One field value in a [`BenchJson`] document.

@@ -132,6 +132,54 @@ impl<'a, G: Governor> CappedGovernor<'a, G> {
         granted
     }
 
+    /// [`Governor::observe`] with the interval's projected card power —
+    /// `cfg` at the activity `counters` describe — already in hand. A
+    /// caller that evaluated that projection for its own accounting (a
+    /// fleet session does, for energy) passes it here instead of paying
+    /// for it twice.
+    pub fn observe_projected(
+        &mut self,
+        kernel: &KernelProfile,
+        iteration: u64,
+        cfg: HwConfig,
+        counters: &CounterSample,
+        projected: Watts,
+    ) {
+        // An interval under sanitizer pressure (rejects were recorded since
+        // the last observation) did not produce a usable measurement: the
+        // sample in hand is a substituted stand-in recorded at an *earlier*
+        // operating point. Projecting stand-in activity at this interval's
+        // configuration manufactures phantom violations (and can equally
+        // hide real ones), so the accounting only trusts quiet intervals.
+        let pressure = self.pressure.under_pressure(&self.stats);
+        // NaN projections (glitched telemetry) fail the comparison and are
+        // not counted — a stacked counter park catches implausible
+        // samples, and a stacked sanitizer rejects physically impossible
+        // ones before they reach this accounting.
+        let over = projected.value() > self.cap.value() * 1.05;
+        if over && !pressure {
+            self.stats.count_cap_violation();
+        }
+        // A dead read (timer ran, every dynamic counter zero) is a failed
+        // measurement, not an idle kernel: learning "zero activity" from it
+        // would un-clamp the next grant to full boost and break the cap for
+        // real. Likewise a substituted sample: it describes another
+        // interval's activity. Only samples from quiet intervals may teach
+        // the clamp.
+        if !pressure && !crate::sanitize::dead_sample(counters) {
+            let activity = activity_of(counters);
+            // Update in place: the name is cloned once per kernel, not per
+            // observation.
+            match self.activity.get_mut(&kernel.name) {
+                Some(slot) => *slot = activity,
+                None => {
+                    self.activity.insert(kernel.name.clone(), activity);
+                }
+            }
+        }
+        self.inner.observe(kernel, iteration, cfg, counters);
+    }
+
     /// Clamps `cfg` under the cap for the given activity estimate. Steps
     /// run along the power model's device grid, so the decorator clamps
     /// catalog devices on their own lattices.
@@ -199,43 +247,20 @@ impl<G: Governor> Governor for CappedGovernor<'_, G> {
         cfg: HwConfig,
         counters: &CounterSample,
     ) {
-        let activity = Activity {
-            valu_activity: counters.valu_activity(),
-            dram_bytes_per_sec: counters.dram_bytes_per_sec(),
-            dram_traffic_fraction: counters.ic_activity,
-        };
-        // An interval under sanitizer pressure (rejects were recorded since
-        // the last observation) did not produce a usable measurement: the
-        // sample in hand is a substituted stand-in recorded at an *earlier*
-        // operating point. Projecting stand-in activity at this interval's
-        // configuration manufactures phantom violations (and can equally
-        // hide real ones), so the accounting only trusts quiet intervals.
-        let pressure = self.pressure.under_pressure(&self.stats);
-        // NaN projections (glitched telemetry) fail the comparison and are
-        // not counted — a stacked counter park catches implausible
-        // samples, and a stacked sanitizer rejects physically impossible
-        // ones before they reach this accounting.
-        let over = self.power.card_pwr(cfg, &activity).value() > self.cap.value() * 1.05;
-        if over && !pressure {
-            self.stats.count_cap_violation();
-        }
-        // A dead read (timer ran, every dynamic counter zero) is a failed
-        // measurement, not an idle kernel: learning "zero activity" from it
-        // would un-clamp the next grant to full boost and break the cap for
-        // real. Likewise a substituted sample: it describes another
-        // interval's activity. Only samples from quiet intervals may teach
-        // the clamp.
-        if !pressure && !crate::sanitize::dead_sample(counters) {
-            // Update in place: the name is cloned once per kernel, not per
-            // observation.
-            match self.activity.get_mut(&kernel.name) {
-                Some(slot) => *slot = activity,
-                None => {
-                    self.activity.insert(kernel.name.clone(), activity);
-                }
-            }
-        }
-        self.inner.observe(kernel, iteration, cfg, counters);
+        let projected = self.power.card_pwr(cfg, &activity_of(counters));
+        self.observe_projected(kernel, iteration, cfg, counters, projected);
+    }
+}
+
+/// The power-model activity a counter sample describes: what the clamp
+/// projects with, and what a caller passing
+/// [`observe_projected`](CappedGovernor::observe_projected) a projection
+/// must have projected with.
+pub fn activity_of(counters: &CounterSample) -> Activity {
+    Activity {
+        valu_activity: counters.valu_activity(),
+        dram_bytes_per_sec: counters.dram_bytes_per_sec(),
+        dram_traffic_fraction: counters.ic_activity,
     }
 }
 

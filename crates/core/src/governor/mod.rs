@@ -36,7 +36,7 @@ mod registry;
 mod stack;
 
 pub use baseline::BaselineGovernor;
-pub use capped::CappedGovernor;
+pub use capped::{activity_of, CappedGovernor};
 pub use coarse::{CoarseGrain, SensitivityBins};
 pub use fine::{FgState, FineGrain};
 pub use harmonia::{HarmoniaConfig, HarmoniaGovernor};

@@ -34,7 +34,9 @@ use crate::binning::SensitivityBin;
 use crate::governor::Rung;
 use crate::metrics::{Residency, RunReport};
 use harmonia_sim::CounterSample;
-use harmonia_types::{ComputeConfig, HwConfig, MegaHertz, MemoryConfig, Seconds, Tunable};
+use harmonia_types::{
+    ComputeConfig, GridSpec, HwConfig, MegaHertz, MemoryConfig, Seconds, Tunable,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -72,12 +74,13 @@ impl From<HwConfig> for ConfigPoint {
 }
 
 impl ConfigPoint {
-    /// Reconstructs the validated [`HwConfig`]; `None` if the point is off
-    /// the hardware grid (e.g. a hand-edited trace).
-    pub fn to_hw(self) -> Option<HwConfig> {
+    /// Reconstructs the validated [`HwConfig`] on `grid`; `None` if the
+    /// point is off that grid (e.g. a hand-edited trace, or a point traced
+    /// on another device).
+    pub fn to_hw_on(self, grid: &GridSpec) -> Option<HwConfig> {
         Some(HwConfig::new(
-            ComputeConfig::new(self.cu, MegaHertz(self.cu_mhz)).ok()?,
-            MemoryConfig::new(MegaHertz(self.mem_mhz)).ok()?,
+            ComputeConfig::new_on(grid, self.cu, MegaHertz(self.cu_mhz)).ok()?,
+            MemoryConfig::new_on(grid, MegaHertz(self.mem_mhz)).ok()?,
         ))
     }
 }
@@ -676,9 +679,10 @@ impl TraceHandle {
             .map_or(0, |b| b.lock().expect("trace buffer poisoned").recorded())
     }
 
-    /// Summarizes the buffered events (see [`summarize`]).
-    pub fn summary(&self) -> TraceSummary {
-        let mut s = summarize(&self.events());
+    /// Summarizes the buffered events of a run on `grid` (see
+    /// [`summarize`]).
+    pub fn summary(&self, grid: &GridSpec) -> TraceSummary {
+        let mut s = summarize(&self.events(), grid);
         s.dropped = self.dropped();
         s.recorded = self.recorded();
         s
@@ -929,8 +933,9 @@ pub struct TraceSummary {
     pub residency: Residency,
 }
 
-/// Builds a [`TraceSummary`] from an event stream.
-pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
+/// Builds a [`TraceSummary`] from the event stream of a run on `grid`.
+/// Residency counts the kernel ends whose configuration lies on `grid`.
+pub fn summarize(events: &[TraceEvent], grid: &GridSpec) -> TraceSummary {
     let mut s = TraceSummary {
         events: events.len() as u64,
         ..TraceSummary::default()
@@ -954,7 +959,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
                 if parked > 0 {
                     s.fallback_invocations += 1;
                 }
-                if let Some(hw) = cfg.to_hw() {
+                if let Some(hw) = cfg.to_hw_on(grid) {
                     s.residency.record(hw, Seconds(*time_s));
                 }
             }
@@ -998,14 +1003,15 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
     s
 }
 
-/// Residency accumulated from the trace over an application-iteration
-/// window `lo..hi` — the windowed series of Figure 15.
-pub fn residency_between(events: &[TraceEvent], lo: u64, hi: u64) -> Residency {
+/// Residency accumulated from the trace of a run on `grid` over an
+/// application-iteration window `lo..hi` — the windowed series of
+/// Figure 15.
+pub fn residency_between(events: &[TraceEvent], grid: &GridSpec, lo: u64, hi: u64) -> Residency {
     let mut residency = Residency::new();
     for ev in events {
         if let TraceEvent::KernelEnd { iteration, cfg, time_s, .. } = ev {
             if (lo..hi).contains(iteration) {
-                if let Some(hw) = cfg.to_hw() {
+                if let Some(hw) = cfg.to_hw_on(grid) {
                     residency.record(hw, Seconds(*time_s));
                 }
             }
@@ -1017,7 +1023,16 @@ pub fn residency_between(events: &[TraceEvent], lo: u64, hi: u64) -> Residency {
 /// The Figure 18 convergence metric: the last application iteration at
 /// which any kernel's decided configuration still changed.
 pub fn settle_iteration(events: &[TraceEvent]) -> u64 {
-    summarize(events).settle_iteration
+    let mut last_cfg: HashMap<&str, ConfigPoint> = HashMap::new();
+    let mut settle = 0;
+    for ev in events {
+        if let TraceEvent::KernelStart { kernel, iteration, cfg } = ev {
+            if last_cfg.insert(kernel, *cfg).is_some_and(|prev| prev != *cfg) {
+                settle = settle.max(*iteration);
+            }
+        }
+    }
+    settle
 }
 
 #[cfg(test)]
@@ -1105,8 +1120,9 @@ mod tests {
         let cfg = HwConfig::max_hd7970();
         let p = ConfigPoint::from(cfg);
         assert_eq!(p, pt(32, 1000, 1375));
-        assert_eq!(p.to_hw(), Some(cfg));
-        assert_eq!(pt(33, 1000, 1375).to_hw(), None, "off-grid points reject");
+        let grid = GridSpec::HD7970;
+        assert_eq!(p.to_hw_on(&grid), Some(cfg));
+        assert_eq!(pt(33, 1000, 1375).to_hw_on(&grid), None, "off-grid points reject");
     }
 
     #[test]
@@ -1188,7 +1204,7 @@ mod tests {
             start("k", 1, pt(32, 1000, 775)),
             end("k", 1, pt(32, 1000, 775), 3.0),
         ];
-        let s = summarize(&events);
+        let s = summarize(&events, &GridSpec::HD7970);
         assert_eq!(s.invocations, 2);
         assert_eq!(s.predictions, 1);
         assert_eq!(s.cg_retunes, 1);
@@ -1222,7 +1238,7 @@ mod tests {
             shift(4, "full", "cg-only"),
             end("k", 5, pt(32, 1000, 1375), 1.0),
         ];
-        let s = summarize(&events);
+        let s = summarize(&events, &GridSpec::HD7970);
         assert_eq!(s.invocations, 6);
         assert_eq!(s.fallback_invocations, 3);
         assert_eq!((s.fallbacks_engaged, s.fallbacks_released), (2, 2));
@@ -1236,9 +1252,9 @@ mod tests {
             end("k", 1, pt(32, 1000, 775), 1.0),
             end("k", 2, pt(32, 1000, 775), 1.0),
         ];
-        let early = residency_between(&events, 0, 1);
+        let early = residency_between(&events, &GridSpec::HD7970, 0, 1);
         assert!((early.fraction(Tunable::MemFreq, 1375) - 1.0).abs() < 1e-12);
-        let late = residency_between(&events, 1, 3);
+        let late = residency_between(&events, &GridSpec::HD7970, 1, 3);
         assert!((late.fraction(Tunable::MemFreq, 775) - 1.0).abs() < 1e-12);
     }
 

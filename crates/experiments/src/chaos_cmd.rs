@@ -270,7 +270,7 @@ fn run_pipeline(ctx: &Context, app: &Application, plan: &FaultPlan, spec: Policy
     let policy = spec.build(&resources);
     let mut gov = policy.governor;
     let run = rt.run(app, &mut gov);
-    let s = telemetry::summarize(&handle.events());
+    let s = telemetry::summarize(&handle.events(), &ctx.device().gpu.grid);
     let rung_residency = policy.stats.rung_residency();
     ChaosOutcome {
         ed2: run.ed2(),

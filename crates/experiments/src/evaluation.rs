@@ -132,17 +132,18 @@ pub fn fig15(ctx: &Context) -> Report {
     // The paper plots residency *as time progresses*: split the run into
     // early/late halves by application iteration, then give the overall
     // distribution. All three series come from the decision trace.
+    let grid = &ctx.device().gpu.grid;
     let half = eval.app.iterations / 2;
     for (label, lo, hi) in [
         ("early (it 0..4)", 0, half),
         ("late (it 4..8)", half, eval.app.iterations),
     ] {
-        let windowed = telemetry::residency_between(&eval.harmonia_trace, lo, hi);
+        let windowed = telemetry::residency_between(&eval.harmonia_trace, grid, lo, hi);
         for (mhz, frac) in windowed.distribution(Tunable::MemFreq) {
             r.push_row(vec![label.to_string(), mhz.to_string(), pct(frac), bar(frac, 20)]);
         }
     }
-    let overall = telemetry::summarize(&eval.harmonia_trace).residency;
+    let overall = telemetry::summarize(&eval.harmonia_trace, grid).residency;
     for (mhz, frac) in overall.distribution(Tunable::MemFreq) {
         r.push_row(vec!["overall".into(), mhz.to_string(), pct(frac), bar(frac, 20)]);
     }
@@ -164,7 +165,7 @@ pub fn fig16(ctx: &Context) -> Report {
         .iter()
         .find(|e| e.app.name == "Graph500")
         .expect("Graph500 in suite");
-    let residency = telemetry::summarize(&eval.harmonia_trace).residency;
+    let residency = telemetry::summarize(&eval.harmonia_trace, &ctx.device().gpu.grid).residency;
     for t in Tunable::ALL {
         for (v, frac) in residency.distribution(t) {
             r.push_row(vec![t.to_string(), v.to_string(), pct(frac), bar(frac, 20)]);

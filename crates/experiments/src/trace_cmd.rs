@@ -52,7 +52,7 @@ pub fn trace_app_with(ctx: &Context, name: &str, spec: PolicySpec) -> Option<Tra
         .run(&app, &mut ctx.policy(spec).governor);
     let events = handle.events();
     let jsonl = telemetry::to_jsonl(&events);
-    let s = telemetry::summarize(&events);
+    let s = telemetry::summarize(&events, &ctx.device().gpu.grid);
 
     // The default policy keeps the historical report id and title so the
     // golden export stays byte-identical.

@@ -137,19 +137,25 @@ impl ClusterGovernor {
     /// saturation breakpoints `b_i = extra_i / w_i` in ascending order
     /// (device-id tie-break keeps the walk deterministic).
     fn water_level(&self, extras: &[f64], weights: &[f64], remaining: f64) -> f64 {
-        let mut order: Vec<usize> = (0..extras.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ba = extras[a] / weights[a];
-            let bb = extras[b] / weights[b];
-            ba.partial_cmp(&bb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+        // Each breakpoint is divided out once. Extras are ≥ 0 and weights
+        // ≥ MIN_WEIGHT, so a breakpoint is NaN only for an infinite extra
+        // at an infinite weight; otherwise the ids make `(b, id)` a strict
+        // total order and any sort yields the one same walk.
+        let mut order: Vec<(f64, usize)> = extras
+            .iter()
+            .zip(weights)
+            .enumerate()
+            .map(|(i, (extra, w))| (extra / w, i))
+            .collect();
+        order.sort_unstable_by(|(ba, a), (bb, b)| {
+            ba.partial_cmp(bb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(b))
         });
         // Devices below the water level contribute λ·w_i; saturated ones
         // contribute their full extra. Walk breakpoints until the level
         // fits between two of them.
         let mut saturated = 0.0_f64;
         let mut live_weight: f64 = weights.iter().sum();
-        for &i in &order {
-            let b = extras[i] / weights[i];
+        for &(b, i) in &order {
             if saturated + b * live_weight >= remaining {
                 return (remaining - saturated) / live_weight;
             }
@@ -256,5 +262,114 @@ mod tests {
             total <= 1234.567 * (1.0 + 1e-12),
             "grants overshot the budget beyond rounding: {total}"
         );
+    }
+
+    /// The partition as it was when every comparison divided both
+    /// breakpoints out again, kept to pin the current one bit for bit.
+    fn reference_partition(g: &ClusterGovernor, demands: &[DeviceDemand]) -> Allocation {
+        let budget = g.cap.value() * (1.0 - g.margin);
+        let floors: f64 = demands.iter().map(|d| d.floor).sum();
+        if floors >= budget {
+            return Allocation {
+                caps: demands.iter().map(|d| Watts(d.floor)).collect(),
+                infeasible: true,
+                lambda: 0.0,
+            };
+        }
+        let extras: Vec<f64> = demands.iter().map(|d| (d.demand - d.floor).max(0.0)).collect();
+        let weights: Vec<f64> = demands.iter().map(|d| d.weight.max(MIN_WEIGHT)).collect();
+        let remaining = budget - floors;
+        let total_extra: f64 = extras.iter().sum();
+        let lambda = if total_extra <= remaining {
+            f64::INFINITY
+        } else {
+            let mut order: Vec<usize> = (0..extras.len()).collect();
+            order.sort_by(|&a, &b| {
+                let ba = extras[a] / weights[a];
+                let bb = extras[b] / weights[b];
+                ba.partial_cmp(&bb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+            });
+            let mut saturated = 0.0_f64;
+            let mut live_weight: f64 = weights.iter().sum();
+            let mut level = f64::INFINITY;
+            for &i in &order {
+                let b = extras[i] / weights[i];
+                if saturated + b * live_weight >= remaining {
+                    level = (remaining - saturated) / live_weight;
+                    break;
+                }
+                saturated += extras[i];
+                live_weight -= weights[i];
+            }
+            level
+        };
+        let caps = demands
+            .iter()
+            .zip(extras.iter().zip(&weights))
+            .map(|(d, (&extra, &w))| Watts(d.floor + extra.min(lambda * w).max(0.0)))
+            .collect();
+        Allocation {
+            caps,
+            infeasible: false,
+            lambda,
+        }
+    }
+
+    fn allocation_bits(a: &Allocation) -> (Vec<u64>, bool, u64) {
+        let caps = a.caps.iter().map(|c| c.value().to_bits()).collect();
+        (caps, a.infeasible, a.lambda.to_bits())
+    }
+
+    #[test]
+    fn partition_matches_the_reference_bit_for_bit() {
+        // xorshift64*: a fixed seed gives the same demand sets everywhere.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        // Infeasible sets, sets that found a finite water level, and sets
+        // whose every demand fit.
+        let mut checked = [0usize; 3];
+        for set in 0..400 {
+            let n = 1 + (next() % 64) as usize;
+            let demands: Vec<DeviceDemand> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    // Few distinct values, so breakpoints tie often.
+                    let floor = 40.0 + (r % 7) as f64 * 10.0;
+                    // Saturated demands (at and below the floor), and in
+                    // every third set unbounded ones.
+                    let demand = match (r >> 8) % 8 {
+                        0 => floor,
+                        1 => floor - 5.0,
+                        2 if set % 3 == 0 => f64::INFINITY,
+                        k => floor + k as f64 * 15.0,
+                    };
+                    // Zero weights and weights under the weight floor.
+                    let weight = match (r >> 16) % 6 {
+                        0 => 0.0,
+                        1 => 1e-13,
+                        k => k as f64 * 0.5,
+                    };
+                    DeviceDemand { floor, demand, weight }
+                })
+                .collect();
+            let cap = Watts(n as f64 * (40.0 + (set % 13) as f64 * 12.0));
+            for margin in [0.0, 0.02] {
+                let g = ClusterGovernor::new(cap).with_margin(margin);
+                let (got, want) = (g.partition(&demands), reference_partition(&g, &demands));
+                assert_eq!(allocation_bits(&got), allocation_bits(&want), "set {set}");
+                let kind = match (want.infeasible, want.lambda.is_finite()) {
+                    (true, _) => 0,
+                    (false, true) => 1,
+                    (false, false) => 2,
+                };
+                checked[kind] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&c| c >= 40), "{checked:?}");
     }
 }

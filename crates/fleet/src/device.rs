@@ -8,15 +8,18 @@
 //! the fleet enforces a cluster cap), and its accounting — total time,
 //! card energy, a rolling FNV-1a digest of every granted configuration,
 //! and the cap telemetry the
-//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on. Everything a step touches is either session-local or
+//! [`ClusterGovernor`](crate::cluster::ClusterGovernor) water-fills on.
+//! Each kernel also keeps a step memo of its last phase key's decision,
+//! projections and grant, so a step whose phase and grant held takes no
+//! plan lock at all. Everything a step touches is either session-local or
 //! goes through the store's per-kernel locks, so stepping devices in
 //! parallel is safe and their accounting is interleaving-independent.
 
 use crate::cluster::DeviceDemand;
 use crate::store::{PlanHandle, PlanStore, SharedOracleGovernor};
-use harmonia::governor::{CappedGovernor, Governor};
-use harmonia_power::Activity;
-use harmonia_types::{Joules, Seconds, Watts};
+use harmonia::governor::{activity_of, CappedGovernor, Governor};
+use harmonia_sim::{KernelProfile, SimResult};
+use harmonia_types::{HwConfig, Joules, Seconds, Watts};
 use harmonia_workloads::Application;
 
 /// The per-device policy stack: the shared-store oracle, bare or under a
@@ -72,16 +75,95 @@ pub struct DeviceSession<'s, 'a> {
     id: usize,
     class: usize,
     app: Application,
-    /// `app.kernels[i]`'s plan, resolved once at construction. The
-    /// kernel's fingerprint lives here rather than in the profile, whose
-    /// fields are public and could change under a cached hash.
-    plans: Vec<PlanHandle>,
+    /// `app.kernels[i]`'s plan and step memo.
+    kernels: Vec<KernelState>,
     governor: DeviceGovernor<'s, 'a>,
     store: &'s PlanStore<'a>,
     total_time: Seconds,
     card_energy: Joules,
     decisions: u64,
     digest: u64,
+}
+
+/// One kernel of the session's application.
+struct KernelState {
+    /// The kernel's plan, resolved once at construction. The kernel's
+    /// fingerprint lives here rather than in the profile, whose fields
+    /// are public and could change under a cached hash.
+    plan: PlanHandle,
+    /// What the kernel's last step computed; `None` before its first.
+    memo: Option<StepMemo>,
+}
+
+/// The plan memo's and the sim cache's key for one invocation: the
+/// phase scale's bit patterns, plus the iteration when the class model
+/// is not phase-determined. Every value a [`StepMemo`] holds is a
+/// function of it (and, for the grant part, of the granted config).
+type PhaseKey = (u64, u64, u64);
+
+/// One kernel's step, memoized for its phase key: a step whose key
+/// matches replays all of it instead of asking the store again, and a
+/// step whose grant also matches replays the granted simulation. A key
+/// change or a grant change refreshes the memo through the store, so
+/// every replayed value is bit-identical to a recomputed one.
+struct StepMemo {
+    key: PhaseKey,
+    /// The plan's unconstrained ED²-optimal configuration.
+    want: HwConfig,
+    /// Projected card power at the class's grid floor, watts (capped
+    /// sessions only, like the two terms below).
+    floor_w: f64,
+    /// Projected card power at `want`, watts.
+    want_w: f64,
+    /// ED² lost by running at the floor instead of at `want`: the
+    /// marginal benefit the headroom buys.
+    lost_ed2: f64,
+    /// The last granted configuration under this key, `None` until the
+    /// first grant.
+    grant: Option<Grant>,
+}
+
+/// A granted configuration with its simulation and projected card power.
+struct Grant {
+    config: HwConfig,
+    result: SimResult,
+    card: Watts,
+}
+
+impl StepMemo {
+    /// Decides `kernel` afresh for a new phase key through the store: the
+    /// plan's decision and, under a cap, the floor and want projections
+    /// the partition water-fills on.
+    fn decide(
+        store: &PlanStore<'_>,
+        class: usize,
+        plan: &PlanHandle,
+        kernel: &KernelProfile,
+        tick: u64,
+        key: PhaseKey,
+        capped: bool,
+    ) -> Self {
+        let desired = store.decide_with(plan, kernel, tick);
+        let (mut floor_w, mut want_w, mut lost_ed2) = (0.0, 0.0, 0.0);
+        if capped {
+            // The floor sim is a cache hit whenever a cold sweep covered
+            // the whole grid at this key.
+            let (power, floor_cfg) = (store.power_of(class), store.floor_of(class));
+            let floor = store.simulate_with(plan, kernel, floor_cfg, tick);
+            floor_w = power.card_pwr(floor_cfg, &activity_of(&floor.counters)).value();
+            want_w = power.card_pwr(desired.config, &activity_of(&desired.result.counters)).value();
+            let t_f = floor.time.value();
+            lost_ed2 = (floor_w * t_f * t_f * t_f - desired.objective).max(0.0);
+        }
+        Self {
+            key,
+            want: desired.config,
+            floor_w,
+            want_w,
+            lost_ed2,
+            grant: None,
+        }
+    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -144,12 +226,16 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
         store: &'s PlanStore<'a>,
         governor: DeviceGovernor<'s, 'a>,
     ) -> Self {
-        let plans = app.kernels.iter().map(|k| store.handle(class, k)).collect();
+        let kernels = app
+            .kernels
+            .iter()
+            .map(|k| KernelState { plan: store.handle(class, k), memo: None })
+            .collect();
         Self {
             id,
             class,
             app,
-            plans,
+            kernels,
             governor,
             store,
             total_time: Seconds(0.0),
@@ -181,32 +267,52 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
     /// iteration `tick`, accumulating time/energy/digest and returning the
     /// tick's merge contribution. Safe to call from any pool worker: all
     /// shared state goes through the store's per-kernel locks.
+    ///
+    /// A kernel whose phase key still matches its step memo replays the
+    /// decision and the floor/want projections from it, and — while the
+    /// clamp keeps its grant — the granted simulation and card power too.
     pub fn step(&mut self, tick: u64) -> TickOutcome {
-        let power = self.store.power_of(self.class);
-        let floor_cfg = self.store.floor_of(self.class);
+        let store = self.store;
+        let power = store.power_of(self.class);
+        let phase_determined = store.phase_determined(self.class);
+        let capped = matches!(self.governor, DeviceGovernor::Capped(_));
         let mut tick_power = 0.0_f64;
         let mut demand = DeviceDemand { floor: 0.0, demand: 0.0, weight: 0.0 };
         let mut benefit = 0.0_f64;
-        for (ki, (kernel, plan)) in self.app.kernels.iter().zip(&self.plans).enumerate() {
-            // One plan decision per invocation: the unconstrained optimum
-            // is the oracle's grant, and under a cap both the clamp's input
-            // and the demand telemetry.
-            let desired = self.store.decide_with(plan, kernel, tick);
+        let kernels = self.app.kernels.iter().zip(&mut self.kernels);
+        for (ki, (kernel, state)) in kernels.enumerate() {
+            // The plan memo's and the sim cache's key: everything the
+            // decision and every simulation of this invocation depend on.
+            let scale = kernel.phase.scale_for(tick);
+            let key = (
+                scale.compute.to_bits(),
+                scale.memory.to_bits(),
+                if phase_determined { 0 } else { tick },
+            );
+            let memo = match &mut state.memo {
+                Some(memo) if memo.key == key => memo,
+                stale => stale.insert(StepMemo::decide(
+                    store, self.class, &state.plan, kernel, tick, key, capped,
+                )),
+            };
+            // The unconstrained optimum is the oracle's grant, and under a
+            // cap the clamp's input.
             let granted = match &mut self.governor {
-                DeviceGovernor::Oracle(_) => desired.config,
-                DeviceGovernor::Capped(g) => g.grant(kernel, tick, desired.config),
+                DeviceGovernor::Oracle(_) => memo.want,
+                DeviceGovernor::Capped(g) => g.grant(kernel, tick, memo.want),
             };
-            let result = self.store.simulate_with(plan, kernel, granted, tick);
-            let activity = Activity {
-                valu_activity: result.counters.valu_activity(),
-                dram_bytes_per_sec: result.counters.dram_bytes_per_sec(),
-                dram_traffic_fraction: result.counters.ic_activity,
+            let grant = match &mut memo.grant {
+                Some(grant) if grant.config == granted => grant,
+                stale => {
+                    let result = store.simulate_with(&state.plan, kernel, granted, tick);
+                    let card = power.card_pwr(granted, &activity_of(&result.counters));
+                    stale.insert(Grant { config: granted, result, card })
+                }
             };
-            let breakdown = power.breakdown(granted, &activity);
-            let dt = result.time;
+            let dt = grant.result.time;
             self.total_time += dt;
-            self.card_energy += breakdown.card_pwr() * dt;
-            tick_power = tick_power.max(breakdown.card_pwr().value());
+            self.card_energy += grant.card * dt;
+            tick_power = tick_power.max(grant.card.value());
             self.digest = fnv(
                 self.digest,
                 &[
@@ -219,34 +325,10 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
             self.decisions += 1;
             // The shared oracle observes nothing; only the clamp learns.
             if let DeviceGovernor::Capped(g) = &mut self.governor {
-                g.observe(kernel, tick, granted, &result.counters);
-                // Projected draw of the floor and the optimum at the
-                // activity just observed — the floor sim is a cache hit
-                // (the cold sweep covered the whole grid).
-                let floor_res = self.store.simulate_with(plan, kernel, floor_cfg, tick);
-                let floor_act = Activity {
-                    valu_activity: floor_res.counters.valu_activity(),
-                    dram_bytes_per_sec: floor_res.counters.dram_bytes_per_sec(),
-                    dram_traffic_fraction: floor_res.counters.ic_activity,
-                };
-                let p_floor = power.card_pwr(floor_cfg, &floor_act).value();
-                let p_want = power
-                    .card_pwr(
-                        desired.config,
-                        &Activity {
-                            valu_activity: desired.result.counters.valu_activity(),
-                            dram_bytes_per_sec: desired.result.counters.dram_bytes_per_sec(),
-                            dram_traffic_fraction: desired.result.counters.ic_activity,
-                        },
-                    )
-                    .value();
-                demand.floor = demand.floor.max(p_floor);
-                demand.demand = demand.demand.max(p_want);
-                // Per-invocation ED² lost by running at the floor instead
-                // of the optimum: the marginal benefit the headroom buys.
-                let t_f = floor_res.time.value();
-                let ed2_floor = p_floor * t_f * t_f * t_f;
-                benefit += (ed2_floor - desired.objective).max(0.0);
+                g.observe_projected(kernel, tick, granted, &grant.result.counters, grant.card);
+                demand.floor = demand.floor.max(memo.floor_w);
+                demand.demand = demand.demand.max(memo.want_w);
+                benefit += memo.lost_ed2;
             }
         }
         let gap = demand.demand - demand.floor;
@@ -282,7 +364,7 @@ impl<'s, 'a> DeviceSession<'s, 'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_power::PowerModel;
+    use harmonia_power::{Activity, PowerModel};
     use harmonia_sim::IntervalModel;
     use harmonia_workloads::suite;
 
@@ -472,6 +554,50 @@ mod tests {
         [r.total_time.value(), r.card_energy.value(), r.ed2].map(f64::to_bits)
     }
 
+    /// Steps a memoized session beside a [`KeyedSession`] for `caps.len()`
+    /// ticks and pins every outcome, the final report, and how often the
+    /// session asks the plan: once per kernel on its first step and on
+    /// every phase-key change, never on a tick whose key held.
+    fn assert_steps_match(
+        store: &PlanStore<'_>,
+        class: usize,
+        app: &Application,
+        cap: Option<Watts>,
+        caps: &[Watts],
+        label: &str,
+    ) {
+        let mut keyed = KeyedSession::new(class, app.clone(), store, cap);
+        let mut session = match cap {
+            Some(w) => DeviceSession::capped_in_class(3, class, app.clone(), store, w),
+            None => DeviceSession::oracle_in_class(3, class, app.clone(), store),
+        };
+        let phase_determined = store.phase_determined(class);
+        for (tick, &w) in (0u64..).zip(caps) {
+            if let Some(g) = &mut keyed.clamp {
+                g.set_cap(w);
+            }
+            session.set_cap(w);
+            let want = keyed.step(tick);
+            let asked_before = store.plan_stats().memo_hits;
+            let got = session.step(tick);
+            let asked = store.plan_stats().memo_hits - asked_before;
+            assert_eq!(outcome_bits(&got), outcome_bits(&want), "{label} tick {tick}");
+            let key_moves = app
+                .kernels
+                .iter()
+                .filter(|k| {
+                    tick == 0
+                        || !phase_determined
+                        || k.phase.scale_for(tick) != k.phase.scale_for(tick - 1)
+                })
+                .count();
+            assert_eq!(asked, key_moves, "{label} tick {tick}: plan asks");
+        }
+        let (got, want) = (session.report(), keyed.report(3));
+        assert_eq!(got, want, "{label}");
+        assert_eq!(report_bits(&got), report_bits(&want), "{label}");
+    }
+
     #[test]
     fn handle_steps_match_keyed_steps_bit_for_bit() {
         use harmonia_types::DeviceSpec;
@@ -482,33 +608,60 @@ mod tests {
         let v100_power = PowerModel::for_device(&v100);
         let mut store = PlanStore::new(&hd, &hd_power);
         let v100_class = store.add_class(&v100_model, &v100_power);
-        // A cap that moves every tick, through binding and slack shares.
-        let caps = [120.0, 260.0, 90.0, 150.0, 400.0, 110.0, 180.0].map(Watts);
+        // Two of Graph500's eight-step phase cycles, under a cap that
+        // moves every tick through binding and slack shares, and under
+        // one that flips the grant back and forth.
+        let moving = [120.0, 260.0, 90.0, 150.0, 400.0, 110.0, 180.0].map(Watts);
+        let moving: Vec<Watts> = moving.iter().copied().cycle().take(16).collect();
+        let flipping: Vec<Watts> = (0..16)
+            .map(|t| Watts(if t % 2 == 0 { 110.0 } else { 400.0 }))
+            .collect();
         for class in [0, v100_class] {
             for app in [suite::maxflops(), suite::graph500(), suite::lud()] {
-                for cap in [None, Some(caps[0])] {
-                    let label = format!("class {class} {} cap {cap:?}", app.name);
-                    let mut keyed = KeyedSession::new(class, app.clone(), &store, cap);
-                    let mut session = match cap {
-                        Some(w) => DeviceSession::capped_in_class(3, class, app.clone(), &store, w),
-                        None => DeviceSession::oracle_in_class(3, class, app.clone(), &store),
-                    };
-                    for (tick, &w) in (0u64..).zip(&caps) {
-                        if let Some(g) = &mut keyed.clamp {
-                            g.set_cap(w);
-                        }
-                        session.set_cap(w);
-                        let (want, got) = (keyed.step(tick), session.step(tick));
-                        assert_eq!(
-                            outcome_bits(&got),
-                            outcome_bits(&want),
-                            "{label} tick {tick}"
-                        );
+                for cap in [None, Some(moving[0])] {
+                    for (caps, name) in [(&moving, "moving"), (&flipping, "flipping")] {
+                        let label = format!("class {class} {} cap {cap:?} {name}", app.name);
+                        assert_steps_match(&store, class, &app, cap, caps, &label);
                     }
-                    let (got, want) = (session.report(), keyed.report(3));
-                    assert_eq!(got, want, "{label}");
-                    assert_eq!(report_bits(&got), report_bits(&want), "{label}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_flipping_grant_re_simulates_and_a_held_grant_does_not() {
+        let model = IntervalModel::default();
+        let power = PowerModel::for_device(&"hd7970".parse().expect("a catalog device"));
+        let store = PlanStore::new(&model, &power);
+        let app = suite::maxflops();
+        let mut session = DeviceSession::capped(0, app.clone(), &store, Watts(110.0));
+        session.step(0);
+        let lookups = || {
+            let c = store.cache_stats();
+            c.hits + c.misses
+        };
+        // maxflops is phase-stable: only a grant change reaches the cache.
+        for (tick, cap, resims) in [(1, 400.0, true), (2, 400.0, false), (3, 110.0, true)] {
+            session.set_cap(Watts(cap));
+            let before = lookups();
+            session.step(tick);
+            let sims = lookups() - before;
+            assert_eq!(sims, if resims { app.kernels.len() } else { 0 }, "tick {tick}");
+        }
+    }
+
+    #[test]
+    fn a_model_that_is_not_phase_determined_refreshes_every_tick() {
+        use harmonia_sim::NoisyModel;
+        let noisy = NoisyModel::new(IntervalModel::default(), 0.05, 3);
+        let power = PowerModel::for_device(&"hd7970".parse().expect("a catalog device"));
+        let store = PlanStore::new(&noisy, &power);
+        assert!(!store.phase_determined(0));
+        let caps: Vec<Watts> = (0..6).map(|t| Watts(if t % 3 == 0 { 110.0 } else { 300.0 })).collect();
+        for app in [suite::maxflops(), suite::graph500()] {
+            for cap in [None, Some(caps[0])] {
+                let label = format!("noisy {} cap {cap:?}", app.name);
+                assert_steps_match(&store, 0, &app, cap, &caps, &label);
             }
         }
     }

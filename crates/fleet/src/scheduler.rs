@@ -258,8 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_capped_decision_is_one_plan_lookup() {
+    fn a_warm_capped_run_asks_the_plan_once_per_phase_change() {
         use harmonia_types::DeviceSpec;
+        const TICKS: u64 = 6;
         let hd = IntervalModel::default();
         let hd_power = PowerModel::hd7970();
         let v100 = DeviceSpec::v100();
@@ -267,7 +268,7 @@ mod tests {
         let v100_power = PowerModel::for_device(&v100);
         let sched = FleetScheduler::new(&hd, &hd_power, "fleet:capped@1500".parse().unwrap())
             .with_class(&v100_model, &v100_power)
-            .with_ticks(6);
+            .with_ticks(TICKS);
         let assignments: Vec<(usize, Application)> =
             [suite::graph500(), suite::lud(), suite::maxflops()]
                 .into_iter()
@@ -276,11 +277,26 @@ mod tests {
                 .collect();
         let cold = sched.run_mixed(&assignments).report;
         let warm = sched.run_mixed(&assignments).report;
-        // The clamp grants the session's own unconstrained decision, so a
-        // warm run adds exactly one memo hit per decision and nothing else.
+        // A session asks its kernel's plan on the kernel's first step and
+        // again only when the phase scale moves (the interval model is
+        // phase-determined); every other step replays its step memo. So a
+        // warm run adds exactly one memo hit per such step, nothing else.
+        let asks: u64 = assignments
+            .iter()
+            .flat_map(|(_, app)| &app.kernels)
+            .map(|k| {
+                let moves = (1..TICKS)
+                    .filter(|&t| k.phase.scale_for(t) != k.phase.scale_for(t - 1))
+                    .count();
+                1 + moves as u64
+            })
+            .sum();
+        let kernels: usize = assignments.iter().map(|(_, app)| app.kernels.len()).sum();
+        assert!(asks > kernels as u64, "graph500's phases must move");
+        assert!(asks < warm.total_decisions(), "stable phases must replay");
         assert_eq!(
-            warm.plans.memo_hits - cold.plans.memo_hits,
-            warm.total_decisions() as usize
+            (warm.plans.memo_hits - cold.plans.memo_hits) as u64,
+            asks
         );
         assert_eq!(warm.plans.cold_sweeps, cold.plans.cold_sweeps);
         assert_eq!(warm.plans.incremental_sweeps, cold.plans.incremental_sweeps);

@@ -153,6 +153,13 @@ impl<'a> PlanStore<'a> {
         &self.class(class).grid
     }
 
+    /// Whether `class`'s timing model is phase-determined: its results
+    /// depend on an invocation's phase scale alone, not on the raw
+    /// iteration, so the plan memo and the cache key drop the iteration.
+    pub(crate) fn phase_determined(&self, class: usize) -> bool {
+        self.class(class).model.phase_determined()
+    }
+
     /// Resolves the (class, kernel) plan, creating it on first use, and
     /// fingerprints the kernel once. Read-locks the map; only a genuinely
     /// new pair takes the write lock. Sessions resolve every kernel of

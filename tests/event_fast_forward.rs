@@ -195,7 +195,7 @@ fn traced_auto_run_replays_and_reports_fast_forwards() {
         telemetry::matches_run(&events, &run),
         "Auto trace does not replay the live configuration sequence"
     );
-    let summary = telemetry::summarize(&events);
+    let summary = telemetry::summarize(&events, power.grid());
     assert_eq!(
         summary.fast_forwards, summary.invocations,
         "every MaxFlops invocation fast-forwards at the boost config"

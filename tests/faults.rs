@@ -160,7 +160,7 @@ fn hardened_clean_run_never_rejects_or_falls_back() {
     let run = Runtime::new(ctx.model(), ctx.power())
         .with_telemetry(handle.clone())
         .run(&suite::graph500(), &mut gov);
-    let s = telemetry::summarize(&handle.events());
+    let s = telemetry::summarize(&handle.events(), ctx.power().grid());
     assert_eq!(s.sanitizer_rejects, 0, "sanitizer rejected clean samples");
     assert_eq!(s.fallbacks_engaged, 0, "a park tripped on a clean run");
     assert_eq!(policy.stats.sanitizer_rejects(), 0);

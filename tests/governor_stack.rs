@@ -26,7 +26,7 @@ use harmonia::runtime::Runtime;
 use harmonia::telemetry::{TraceEvent, TraceHandle};
 use harmonia_power::PowerModel;
 use harmonia_sim::{CounterSample, IntervalModel, KernelProfile};
-use harmonia_types::{HwConfig, Seconds, Watts};
+use harmonia_types::{GridSpec, HwConfig, Seconds, Watts};
 use harmonia_workloads::suite;
 
 /// A governor that emits one trace event per decision through whatever
@@ -201,7 +201,7 @@ fn layered_watchdog_emits_the_fault_and_fallback_event_sequence() {
     };
     assert_eq!(shift("full", "safe-state", 4), 1, "engaged with the base hold");
     assert_eq!(shift("safe-state", "full", 0), 1, "released once");
-    let summary = harmonia::telemetry::summarize(&events);
+    let summary = harmonia::telemetry::summarize(&events, &GridSpec::HD7970);
     assert_eq!((summary.fallbacks_engaged, summary.fallbacks_released), (1, 1));
 }
 
@@ -312,7 +312,7 @@ fn overlapping_parks_count_safe_residency_once() {
         .with_actuator(RetryPolicy::default())
         .run(&suite::sort(), &mut governor);
     let events = handle.events();
-    let summary = harmonia::telemetry::summarize(&events);
+    let summary = harmonia::telemetry::summarize(&events, ctx.power().grid());
     let residency = policy.stats.rung_residency();
     assert_eq!(residency.iter().sum::<u64>(), summary.invocations, "one count per interval");
     assert_eq!(summary.fallback_invocations, residency[3]);

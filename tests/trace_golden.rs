@@ -78,7 +78,7 @@ fn golden_trace_replays_the_live_config_sequence() {
 fn figure_series_come_from_the_decision_trace() {
     let ctx = Context::new();
     let eval = ctx.evaluate_app(&suite::graph500());
-    let summary = telemetry::summarize(&eval.harmonia_trace);
+    let summary = telemetry::summarize(&eval.harmonia_trace, ctx.power().grid());
 
     // Fig 15's "overall" rows are the memory-frequency residency
     // distribution of the decision trace, verbatim.
@@ -128,4 +128,68 @@ fn figure_series_come_from_the_decision_trace() {
         &telemetry::settle_iteration(&eval.harmonia_trace).to_string(),
         "fig18 settle column diverged from the trace"
     );
+}
+
+#[test]
+fn residency_figures_sum_to_one_on_every_catalog_device() {
+    for name in DeviceSpec::catalog() {
+        let ctx = Context::for_device(DeviceSpec::lookup(name).expect("a catalog device"));
+        let grid = &ctx.device().gpu.grid;
+        let eval = ctx
+            .matrix()
+            .iter()
+            .find(|e| e.app.name == "Graph500")
+            .expect("Graph500 in suite");
+        // Every traced kernel end lies on the run's own grid, so residency
+        // drops nothing.
+        let ends: Vec<&telemetry::ConfigPoint> = eval
+            .harmonia_trace
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::TraceEvent::KernelEnd { cfg, .. } => Some(cfg),
+                _ => None,
+            })
+            .collect();
+        assert!(!ends.is_empty(), "{name}: no kernel ends traced");
+        assert!(
+            ends.iter().all(|cfg| cfg.to_hw_on(grid).is_some()),
+            "{name}: a traced config is off the device grid"
+        );
+        let summary = telemetry::summarize(&eval.harmonia_trace, grid);
+        let half = eval.app.iterations / 2;
+        let windows = [
+            telemetry::residency_between(&eval.harmonia_trace, grid, 0, half),
+            telemetry::residency_between(&eval.harmonia_trace, grid, half, eval.app.iterations),
+            summary.residency,
+        ];
+        for (w, residency) in windows.iter().enumerate() {
+            for t in Tunable::ALL {
+                let total: f64 = residency.distribution(t).iter().map(|(_, f)| f).sum();
+                assert!((total - 1.0).abs() < 1e-9, "{name} window {w} {t}: {total}");
+            }
+        }
+        // The printed figures: each window of fig15 and each tunable of
+        // fig16 is a non-empty group of rows summing to 100% up to the
+        // rounding of the printed percentages.
+        for (id, groups) in [("fig15", 3), ("fig16", 3)] {
+            let report = run(&ctx, id).expect("the figure exists");
+            let mut sums: Vec<(String, f64, usize)> = Vec::new();
+            for row in &report.rows {
+                let share: f64 = row[2]
+                    .trim_start_matches('+')
+                    .trim_end_matches('%')
+                    .parse()
+                    .expect("a percentage");
+                match sums.iter_mut().find(|(label, ..)| *label == row[0]) {
+                    Some((_, sum, rows)) => (*sum, *rows) = (*sum + share, *rows + 1),
+                    None => sums.push((row[0].clone(), share, 1)),
+                }
+            }
+            assert_eq!(sums.len(), groups, "{name} {id}: groups {sums:?}");
+            for (label, sum, rows) in &sums {
+                let slack = 0.05 * *rows as f64 + 1e-9;
+                assert!((sum - 100.0).abs() <= slack, "{name} {id} {label}: {sum}%");
+            }
+        }
+    }
 }
